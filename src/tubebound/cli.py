@@ -14,8 +14,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .bounds import (
     BoundCurve,
     concentration_bound_optimized,
@@ -28,11 +26,11 @@ from .bounds import (
 )
 from .errors import DomainError
 from .estimate import (
-    MCEstimate,
     estimates_to_csv,
     mc_exp_moment,
     mc_moment,
-    occupation_local_time_extrapolated,
+    mc_path_mean,
+    occupation_extrapolated,
     tail_prob,
 )
 from .modelspaces import (
@@ -41,10 +39,10 @@ from .modelspaces import (
     Scenario,
     SphereInEuclidean,
     lyapunov_params,
+    revuz_mean_local_time,
     scenario_from_kv,
 )
 from .simulate import sample_path, write_path_dump
-from .specfun import upper_gamma
 from .verify import DEFAULT_SEED, run_all
 
 _ENV_SEED = "TUBEBOUND_SEED"
@@ -274,15 +272,15 @@ def _cmd_localtime(args: argparse.Namespace) -> int:
     jobs = []
     if args.scenario in (None, "circle"):
         t = args.t if (args.scenario == "circle" and args.t is not None) else 20.0
-        truth = t / (2.0 * math.pi) - math.pi / 6.0
+        # the cut locus of the start is the antipode, at distance pi
+        truth = revuz_mean_local_time(CirclePoint(r0=math.pi), t)
         jobs.append(("circle_cut_locus", CirclePoint(r0=0.0), "cut_locus", t, truth, 0.05))
     if args.scenario in (None, "sphere"):
         t = args.t if (args.scenario == "sphere" and args.t is not None) else 1.0
         m = args.m if args.m is not None else 2
         radius = args.radius if args.radius is not None else 1.0
         s = SphereInEuclidean(m=m, radius=radius)
-        truth = radius * upper_gamma(m / 2.0 - 1.0, radius**2 / (2.0 * t)) / math.gamma(m / 2.0)
-        jobs.append(("sphere_shell", s, "submanifold", t, truth, 0.10))
+        jobs.append(("sphere_shell", s, "submanifold", t, revuz_mean_local_time(s, t), 0.10))
     if args.scenario == "flat" or args.scenario == "h3":
         print(f"localtime supports circle and sphere scenarios, not {args.scenario}", file=sys.stderr)
         return 2
@@ -293,22 +291,20 @@ def _cmd_localtime(args: argparse.Namespace) -> int:
     rows = []
     status = 0
     for name, s, target, t, truth, tol in jobs:
-        vals = np.empty(args.n)
-        for i in range(args.n):
-            path = sample_path(s, args.dt, t, args.seed, index=i)
-            vals[i] = occupation_local_time_extrapolated(path, target, args.eps)
-            if i == 0 and args.dump_paths and out:
-                with open(out / f"localtime_{name}_path0.bin", "wb") as fh:
-                    write_path_dump(path, fh)
-        mean = float(np.mean(vals))
-        stderr = float(np.std(vals, ddof=1) / math.sqrt(args.n))
-        ok = abs(mean - truth) <= tol * truth
+        est = mc_path_mean(
+            s, args.dt, t, args.n, args.seed,
+            lambda v: occupation_extrapolated(v, s, target, args.dt, args.eps),
+        )
+        if args.dump_paths and out:
+            with open(out / f"localtime_{name}_path0.bin", "wb") as fh:
+                write_path_dump(sample_path(s, args.dt, t, args.seed), fh)
+        ok = abs(est.mean - truth) <= tol * truth
         status |= 0 if ok else 1
         print(
-            f"{name} t={t:g}: mc mean={mean:.5f} stderr={stderr:.5f} "
+            f"{name} t={t:g}: mc mean={est.mean:.5f} stderr={est.stderr:.5f} "
             f"closed form={truth:.5f} (tol {tol:.0%}) -> {'PASS' if ok else 'FAIL'}"
         )
-        rows.append((name, MCEstimate(mean=mean, stderr=stderr, n=args.n, seed=args.seed)))
+        rows.append((name, est))
     if out:
         (out / "localtime_results.csv").write_text(estimates_to_csv(rows))
         print(f"wrote {out / 'localtime_results.csv'}")

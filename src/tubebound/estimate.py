@@ -3,7 +3,8 @@ and occupation-time local-time estimators.
 
 Draw-based estimators split n over `partitions` independent streams and
 reduce partial sums in fixed order, so results are bit-reproducible for a
-given (seed, partitions) and parallelizable across partitions.
+given (seed, partitions) and parallelizable across partitions. Path-based
+ones give path k stream k, so batching paths does not change them.
 """
 from __future__ import annotations
 
@@ -15,9 +16,11 @@ import numpy as np
 
 from .errors import DomainError
 from .modelspaces import CirclePoint, Scenario
-from .simulate import PathSample, sample_distances, sample_path, stream
+from .simulate import PathSample, grid_steps, sample_distances, sample_paths, stream
 
 _EXP_GUARD = 700.0
+_PATH_BLOCK = 1 << 16  # path values per block, rows x (steps + 1)
+PathFn = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -110,34 +113,64 @@ def mc_exp_moment(
     )
 
 
-def occupation_local_time(path: PathSample, target: str, eps: float) -> float:
-    """(1/2 eps) * time spent within eps of the target set, on the path grid.
+def path_functional(s: Scenario, dt: float, T: float, n: int, seed: int, fn: PathFn) -> np.ndarray:
+    """fn over paths 0..n-1 of `seed` (see sample_paths), in blocks of rows.
 
-    target is "submanifold" (distance = path values) or "cut_locus"
-    (circle only; distance to the antipode is pi - r). eps larger than
-    2 sqrt(dt) is recommended so the band is resolved by the grid.
+    fn maps a (rows, steps + 1) block of paths to an array whose first axis
+    has one entry per row; the entries are returned in path order. A block
+    holds at most _PATH_BLOCK values, so memory stays bounded whatever n.
     """
-    if eps <= 0.0:
-        raise DomainError(f"eps must be positive, got {eps}")
-    dist = _target_distance(path, target)
-    hits = int(np.count_nonzero(dist[:-1] < eps))
-    return path.dt * hits / (2.0 * eps)
-
-
-def occupation_local_time_extrapolated(path: PathSample, target: str, eps: float) -> float:
-    """Richardson combination 2 L(eps/2) - L(eps), removing the O(eps) bias."""
-    return 2.0 * occupation_local_time(path, target, eps / 2.0) - occupation_local_time(
-        path, target, eps
+    if n < 1:
+        raise DomainError(f"need n >= 1 paths, got {n}")
+    rows = max(1, _PATH_BLOCK // (grid_steps(dt, T) + 1))
+    return np.concatenate(
+        [fn(sample_paths(s, dt, T, seed, i, min(rows, n - i))) for i in range(0, n, rows)]
     )
 
 
-def _target_distance(path: PathSample, target: str) -> np.ndarray:
+def mc_path_mean(s: Scenario, dt: float, T: float, n: int, seed: int, fn: PathFn) -> MCEstimate:
+    """Mean of one value per path over path_functional, with its standard error."""
+    vals = path_functional(s, dt, T, n, seed, fn)
+    return MCEstimate(float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n)), n, seed)
+
+
+def occupation(values: np.ndarray, s: Scenario, target: str, dt: float, eps: float) -> np.ndarray:
+    """(1/2 eps) * time within eps of the target set, for each path along
+    the last axis of `values` (grid step dt). target is "submanifold"
+    (distance = path values) or "cut_locus" (circle only; distance to the
+    antipode is pi - r). eps above 2 sqrt(dt) keeps the band resolved.
+    """
+    if eps <= 0.0:
+        raise DomainError(f"eps must be positive, got {eps}")
+    band = _target_distance(values, s, target)[..., :-1] < eps
+    # int32 sums: half the cost of count_nonzero(axis=-1), which sums int64
+    return dt * np.add.reduce(band, axis=-1, dtype=np.int32) / (2.0 * eps)
+
+
+def occupation_extrapolated(
+    values: np.ndarray, s: Scenario, target: str, dt: float, eps: float
+) -> np.ndarray:
+    """Richardson combination 2 L(eps/2) - L(eps), removing the O(eps) bias."""
+    return 2.0 * occupation(values, s, target, dt, eps / 2.0) - occupation(values, s, target, dt, eps)
+
+
+def occupation_local_time(path: PathSample, target: str, eps: float) -> float:
+    """occupation() of one path."""
+    return float(occupation(path.values, path.scenario, target, path.dt, eps))
+
+
+def occupation_local_time_extrapolated(path: PathSample, target: str, eps: float) -> float:
+    """occupation_extrapolated() of one path."""
+    return float(occupation_extrapolated(path.values, path.scenario, target, path.dt, eps))
+
+
+def _target_distance(values: np.ndarray, s: Scenario, target: str) -> np.ndarray:
     if target == "submanifold":
-        return np.asarray(path.values)
+        return np.asarray(values)
     if target == "cut_locus":
-        if not isinstance(path.scenario, CirclePoint):
+        if not isinstance(s, CirclePoint):
             raise DomainError("cut_locus occupation is defined only for the circle scenario")
-        return math.pi - np.asarray(path.values)
+        return math.pi - np.asarray(values)
     raise DomainError(f"target must be submanifold or cut_locus, got {target!r}")
 
 
@@ -162,12 +195,8 @@ def tail_prob(
     if sup_mode:
         if dt is None:
             raise DomainError("sup mode needs a path step dt")
-        hits = 0
-        for i in range(n):
-            path = sample_path(s, dt, t, seed, index=i)
-            if float(np.max(path.values)) >= r:
-                hits += 1
-        phat = hits / n
+        sup = path_functional(s, dt, t, n, seed, lambda v: np.max(v, axis=-1))
+        phat = int(np.count_nonzero(sup >= r)) / n
     else:
         hits = 0
         for i, size in enumerate(_partition_sizes(n, partitions)):

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from scipy import integrate
-
 from .errors import DomainError
 from .specfun import laguerre, upper_gamma
 
@@ -251,8 +249,10 @@ def revuz_mean_local_time(s: Scenario, t: float) -> Optional[float]:
     """Mean local time E[L^N_t] where the Revuz route gives a closed form.
 
     Sphere shell in R^m from the centre: radius * Gamma(m/2-1, radius^2/2t) /
-    Gamma(m/2). Circle point: integral of the wrapped-Gaussian kernel at
-    distance r0 over [0, t], by adaptive quadrature.
+    Gamma(m/2). Circle point: the wrapped-Gaussian kernel at distance r0
+    integrated over [0, t] image by image, each image at distance x giving
+    sqrt(2t/pi) e^{-x^2/2t} - x erfc(x / sqrt(2t)); images beyond r0 + 12 sqrt(t)
+    add less than e^{-72}.
     """
     if not t > 0.0:
         raise DomainError(f"t must be positive, got {t}")
@@ -261,19 +261,12 @@ def revuz_mean_local_time(s: Scenario, t: float) -> Optional[float]:
         x = s.radius**2 / (2.0 * t)
         return s.radius * upper_gamma(a, x) / math.gamma(s.m / 2.0)
     if isinstance(s, CirclePoint):
-        val, _ = integrate.quad(
-            lambda u: _wrapped_gaussian(u, s.r0), 0.0, t, limit=400, epsabs=1e-12, epsrel=1e-10
-        )
-        return val
+        k_max = math.ceil((s.r0 + 12.0 * math.sqrt(t)) / (2.0 * math.pi))
+        xs = [abs(s.r0 + 2.0 * math.pi * k) for k in range(-k_max, k_max + 1)]
+        rt = math.sqrt(2.0 * t)
+        peak = rt / math.sqrt(math.pi)
+        return sum(peak * math.exp(-((x / rt) ** 2)) - x * math.erfc(x / rt) for x in xs)
     return None
-
-
-_KIND_NAMES = {
-    EuclideanAffine: "flat",
-    CirclePoint: "circle",
-    HyperbolicH3Point: "h3",
-    SphereInEuclidean: "sphere",
-}
 
 
 def scenario_to_kv(s: Scenario) -> dict[str, str]:

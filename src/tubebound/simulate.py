@@ -6,7 +6,7 @@ weak order one is provided for cross-checks only.
 
 Random streams are counter-based: stream(seed, k) is the Philox generator
 jumped k blocks, so path k is reproducible independently of how many
-workers consume the path range.
+workers, or rows of a block, consume the path range.
 """
 from __future__ import annotations
 
@@ -33,8 +33,11 @@ DUMP_VERSION = 1
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
-    """Independent generator number `index` derived from a master seed."""
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)).jumped(index))
+    """Independent generator number `index` derived from a master seed: Philox
+    with its counter at index * 2**128, where `.jumped(index)` would take it."""
+    if not 0 <= index < 2**63:
+        raise DomainError(f"stream index must lie in [0, 2**63), got {index}")
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=[0, 0, index, 0]))
 
 
 @dataclass(frozen=True)
@@ -67,13 +70,12 @@ def sample_distances(s: Scenario, t: float, rng: np.random.Generator, size: int)
         d = s.m - s.n
         g = sd * rng.standard_normal((size, d))
         g[:, 0] += s.r0
-        return np.linalg.norm(g, axis=1)
+        return _radius(g)
     if isinstance(s, CirclePoint):
-        angle = s.r0 + sd * rng.standard_normal(size)
-        return np.abs(_wrap_angle(angle))
+        return _circle_distance(s.r0 + sd * rng.standard_normal(size))
     if isinstance(s, SphereInEuclidean):
         g = sd * rng.standard_normal((size, s.m))
-        return np.abs(np.linalg.norm(g, axis=1) - s.radius)
+        return np.abs(_radius(g) - s.radius)
     if isinstance(s, HyperbolicH3Point):
         if s.r0 != 0.0:
             raise SamplerError("hyperbolic endpoint sampling starts at the pole (r0 = 0)")
@@ -81,8 +83,12 @@ def sample_distances(s: Scenario, t: float, rng: np.random.Generator, size: int)
     raise TypeError(f"unknown scenario {s!r}")
 
 
-def _wrap_angle(angle: np.ndarray) -> np.ndarray:
-    return np.mod(angle + math.pi, 2.0 * math.pi) - math.pi
+def _circle_distance(angle: np.ndarray) -> np.ndarray:
+    """|angle| wrapped to [0, pi], computed in place."""
+    angle += math.pi
+    np.mod(angle, 2.0 * math.pi, out=angle)
+    angle -= math.pi
+    return np.abs(angle, out=angle)
 
 
 def _h3_endpoint_batch(kappa: float, t: float, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -126,62 +132,91 @@ def _h3_endpoint_batch(kappa: float, t: float, size: int, rng: np.random.Generat
     return out
 
 
-def sample_path(s: Scenario, dt: float, T: float, seed: int, index: int = 0) -> PathSample:
-    """Discretized trajectory of r_N(X) on the grid k*dt, k = 0..round(T/dt).
-
-    Gaussian increments make the flat, sphere and circle paths exact at grid
-    times. The hyperbolic path is a geodesic random walk (weak order one;
-    cross-check use only). `index` selects the per-path random stream.
-    """
+def grid_steps(dt: float, T: float) -> int:
+    """Number of steps of the grid k*dt, k = 0..round(T/dt)."""
     if dt <= 0.0 or dt > T:
         raise DomainError(f"need 0 < dt <= T, got dt={dt}, T={T}")
-    steps = int(round(T / dt))
-    rng = stream(seed, index)
-    sd = math.sqrt(dt)
+    return int(round(T / dt))
+
+
+def sample_path(s: Scenario, dt: float, T: float, seed: int, index: int = 0) -> PathSample:
+    """Discretized trajectory of r_N(X) on the grid k*dt: row `index` of sample_paths."""
+    return PathSample(dt=dt, values=sample_paths(s, dt, T, seed, index, 1)[0], scenario=s, seed=seed)
+
+
+def sample_paths(s: Scenario, dt: float, T: float, seed: int, start: int, count: int) -> np.ndarray:
+    """Paths start..start+count-1 of r_N(X) on the grid k*dt, one per row.
+
+    Row j draws only from stream(seed, start + j), whatever else shares the
+    block. Gaussian increments make the flat, sphere and circle paths exact
+    at grid times; on H^3 a geodesic random walk (weak order one) is used.
+    """
+    steps = grid_steps(dt, T)
+    if count < 1:
+        raise DomainError(f"count must be positive, got {count}")
+    rngs = [stream(seed, start + j) for j in range(count)]
     if isinstance(s, EuclideanAffine):
-        d = s.m - s.n
-        inc = sd * rng.standard_normal((steps, d))
-        pos = np.vstack([np.zeros((1, d)), np.cumsum(inc, axis=0)])
-        pos[:, 0] += s.r0
-        values = np.linalg.norm(pos, axis=1)
-    elif isinstance(s, SphereInEuclidean):
-        inc = sd * rng.standard_normal((steps, s.m))
-        pos = np.vstack([np.zeros((1, s.m)), np.cumsum(inc, axis=0)])
-        values = np.abs(np.linalg.norm(pos, axis=1) - s.radius)
-    elif isinstance(s, CirclePoint):
-        inc = sd * rng.standard_normal(steps)
-        angle = s.r0 + np.concatenate([[0.0], np.cumsum(inc)])
-        values = np.abs(_wrap_angle(angle))
-    elif isinstance(s, HyperbolicH3Point):
-        values = _h3_walk(s.kappa, s.r0, dt, steps, rng)
-    else:
-        raise TypeError(f"unknown scenario {s!r}")
-    return PathSample(dt=dt, values=values, scenario=s, seed=seed)
+        pos = _gaussian_paths(rngs, steps, s.m - s.n, dt)
+        pos[..., 0] += s.r0
+        return _radius(pos)
+    if isinstance(s, SphereInEuclidean):
+        return np.abs(_radius(_gaussian_paths(rngs, steps, s.m, dt)) - s.radius)
+    if isinstance(s, CirclePoint):
+        angle = _gaussian_paths(rngs, steps, 1, dt)[..., 0]
+        angle += s.r0
+        return _circle_distance(angle)
+    if isinstance(s, HyperbolicH3Point):
+        return _h3_walk(s.kappa, s.r0, dt, steps, rngs)
+    raise TypeError(f"unknown scenario {s!r}")
 
 
-def _h3_walk(kappa: float, r0: float, dt: float, steps: int, rng: np.random.Generator) -> np.ndarray:
-    # geodesic random walk: tangent Gaussian step, distance updated by the
-    # hyperbolic law of cosines in the radial/transverse decomposition
+def _gaussian_paths(rngs: list[np.random.Generator], steps: int, d: int, dt: float) -> np.ndarray:
+    # Brownian positions from 0, shape (paths, steps + 1, d); each row is
+    # drawn in place, in the order standard_normal((steps, d)) would use
+    pos = np.empty((len(rngs), steps + 1, d))
+    pos[:, 0] = 0.0
+    for row, rng in zip(pos, rngs):
+        rng.standard_normal(out=row[1:])
+    pos *= math.sqrt(dt)
+    return np.cumsum(pos, axis=1, out=pos)
+
+
+def _radius(pos: np.ndarray) -> np.ndarray:
+    # norm over the last axis, squaring pos in place: np.linalg.norm's bits
+    # for up to 7 coordinates, without its temporaries
+    np.square(pos, out=pos)
+    sq = pos[..., 0].copy()
+    for i in range(1, pos.shape[-1]):
+        sq += pos[..., i]
+    return np.sqrt(sq, out=sq)
+
+
+def _h3_walk(kappa: float, r0: float, dt: float, steps: int, rng) -> np.ndarray:
+    """Geodesic random walk on H^3 from distance r0: one path for one
+    generator `rng`, or one row per generator for a list of them.
+
+    A tangent Gaussian step of length ell at cosine c to the radial direction
+    gives cosh(a r') = cosh(a r) cosh(a ell) + sinh(a r) sinh(a ell) c; only
+    cosh(a ell) and sinh(a ell) c are kept. Loop over steps, numpy over paths.
+    """
+    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
     a = math.sqrt(-kappa)
-    v = math.sqrt(dt) * rng.standard_normal((steps, 3))
-    lengths = np.linalg.norm(v, axis=1)
-    radial = v[:, 0]
-    values = np.empty(steps + 1)
-    values[0] = r0
-    r = r0
+    ch, shc = np.empty((2, steps, len(rngs)))  # step-major: contiguous per step
+    for j, g in enumerate(rngs):
+        v = math.sqrt(dt) * g.standard_normal((steps, 3))
+        radial = v[:, 0].copy()
+        ell = _radius(v)
+        ch[:, j] = np.cosh(a * ell)
+        shc[:, j] = np.sinh(a * ell) * (radial / ell)
+    values = np.full((len(rngs), steps + 1), r0)
     for k in range(steps):
-        ell = lengths[k]
-        if ell == 0.0:
-            values[k + 1] = r
-            continue
-        u = a * r
-        w = a * ell
-        if u > 700.0 or w > 700.0:
-            raise SamplerError("geodesic walk left the numerically safe region")
-        arg = math.cosh(u) * math.cosh(w) + math.sinh(u) * math.sinh(w) * (radial[k] / ell)
-        r = math.acosh(max(arg, 1.0)) / a
-        values[k + 1] = r
-    return values
+        u = a * values[:, k]
+        arg = np.cosh(u) * ch[k] + np.sinh(u) * shc[k]
+        values[:, k + 1] = np.arccosh(np.maximum(arg, 1.0)) / a
+    # a step of length ell > 700/a ends beyond 700/a, and nan fails the test too
+    if not a * np.max(values) <= 700.0:
+        raise SamplerError("geodesic walk left the numerically safe region")
+    return values[0] if isinstance(rng, np.random.Generator) else values
 
 
 def write_path_dump(path: PathSample, fh: BinaryIO) -> None:

@@ -22,11 +22,7 @@ from .bounds import (
     logsob_bound,
     second_moment_bound,
 )
-from .estimate import (
-    mc_exp_moment,
-    mc_moment,
-    occupation_local_time_extrapolated,
-)
+from .estimate import mc_exp_moment, mc_moment, mc_path_mean, occupation_extrapolated
 from .modelspaces import (
     CirclePoint,
     EuclideanAffine,
@@ -36,7 +32,6 @@ from .modelspaces import (
     exact_exp_moment,
     revuz_mean_local_time,
 )
-from .simulate import sample_path
 from .specfun import comparison, laguerre, lemma_laguerre_rhs, upper_gamma
 
 DEFAULT_SEED = 20240
@@ -163,11 +158,9 @@ def crit_circle_cut_locus_local_time(quick: bool, seed: int) -> CriterionResult:
     n = 1_000 if quick else 10_000
     dt, t, eps = 1e-4, 20.0, 0.05
     s = CirclePoint(r0=0.0)
-    total = 0.0
-    for i in range(n):
-        path = sample_path(s, dt, t, seed=seed + 5, index=i)
-        total += occupation_local_time_extrapolated(path, "cut_locus", eps)
-    mean = total / n
+    mean = mc_path_mean(
+        s, dt, t, n, seed + 5, lambda v: occupation_extrapolated(v, s, "cut_locus", dt, eps)
+    ).mean
     want = t / (2.0 * math.pi) - math.pi / 6.0
     ok = abs(mean - want) <= 0.05 * want
     return _result(
@@ -180,11 +173,9 @@ def crit_sphere_local_time(quick: bool, seed: int) -> CriterionResult:
     n = 1_000 if quick else 10_000
     dt, t, eps = 1e-4, 1.0, 0.05
     s = SphereInEuclidean(m=2, radius=1.0)
-    total = 0.0
-    for i in range(n):
-        path = sample_path(s, dt, t, seed=seed + 6, index=i)
-        total += occupation_local_time_extrapolated(path, "submanifold", eps)
-    mean = total / (n * s.radius)
+    mean = mc_path_mean(
+        s, dt, t, n, seed + 6, lambda v: occupation_extrapolated(v, s, "submanifold", dt, eps)
+    ).mean / s.radius
     want = upper_gamma(0.0, s.radius**2 / (2.0 * t))
     ok = abs(mean - want) <= 0.10 * want
     return _result(
@@ -290,13 +281,10 @@ def crit_feynman_kac_quadratic(quick: bool, seed: int) -> CriterionResult:
     theta, t, dt = 0.25, 1.0, 1e-3
     s = EuclideanAffine(m=1, n=0, r0=0.0)
     lp = LyapunovParams(nu=1.0, lam=0.0)
-    vals = np.empty(n)
-    for i in range(n):
-        path = sample_path(s, dt, t, seed=seed + 13, index=i)
-        integral = dt * float(np.sum(path.values[:-1] ** 2))
-        vals[i] = math.exp(0.5 * theta * integral)
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(n))
+    est = mc_path_mean(
+        s, dt, t, n, seed + 13, lambda v: np.exp(0.5 * theta * (dt * np.sum(v[:, :-1] ** 2, axis=1)))
+    )
+    mean, stderr = est.mean, est.stderr
     want = math.cos(math.sqrt(theta) * t) ** -0.5
     bound = feynman_kac_bound("quadratic", lp, 0.0, t, theta)
     checks = [

@@ -156,3 +156,52 @@ def upper_gamma_quad(a: float, x: float) -> float:
         lambda s: s ** (a - 1.0) * math.exp(-s), x, np.inf, limit=400, epsabs=0.0, epsrel=1e-12
     )
     return val
+
+
+def gaussian_distance_path(kind: str, d: int, r0: float, dt: float, steps: int, rng) -> np.ndarray:
+    """One exact distance path drawn the one-path way: the increments as a
+    (steps, d) block, positions by cumsum, distance by np.linalg.norm.
+
+    kind is "flat" (distance to the origin from r0 e1), "sphere" (distance
+    to the sphere of radius r0 from the centre) or "circle" (d = 1, angle
+    wrapped to [0, pi] from r0).
+    """
+    inc = math.sqrt(dt) * rng.standard_normal((steps, d))
+    pos = np.vstack([np.zeros((1, d)), np.cumsum(inc, axis=0)])
+    if kind == "circle":
+        return np.abs(np.mod(r0 + pos[:, 0] + math.pi, 2.0 * math.pi) - math.pi)
+    if kind == "sphere":
+        return np.abs(np.linalg.norm(pos, axis=1) - r0)
+    pos[:, 0] += r0
+    return np.linalg.norm(pos, axis=1)
+
+
+def h3_walk_scalar(kappa: float, r0: float, dt: float, steps: int, rng) -> np.ndarray:
+    """Geodesic random walk on H^3, one path, one step at a time in floats.
+
+    Same draws and law of cosines as the package's walk, evaluated with
+    `math` functions in a scalar loop instead of numpy over paths.
+    """
+    a = math.sqrt(-kappa)
+    v = math.sqrt(dt) * rng.standard_normal((steps, 3))
+    values = np.empty(steps + 1)
+    values[0] = r = r0
+    for k, (x, y, z) in enumerate(v):
+        ell = math.sqrt(x * x + y * y + z * z)
+        u, w = a * r, a * ell
+        arg = math.cosh(u) * math.cosh(w) + math.sinh(u) * (math.sinh(w) * (x / ell))
+        r = math.acosh(max(arg, 1.0)) / a
+        values[k + 1] = r
+    return values
+
+
+def circle_mean_local_time_quad(d: float, t: float) -> float:
+    """Wrapped heat kernel at distance d integrated over [0, t] by quadrature."""
+    def kernel(u):
+        norm = 1.0 / math.sqrt(2.0 * math.pi * u)
+        return norm * sum(
+            math.exp(-((d + 2.0 * math.pi * k) ** 2) / (2.0 * u)) for k in range(-40, 41)
+        )
+
+    val, _ = integrate.quad(kernel, 0.0, t, limit=400, epsabs=1e-12, epsrel=1e-10)
+    return val

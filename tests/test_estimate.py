@@ -9,8 +9,10 @@ from tubebound.estimate import (
     estimates_to_csv,
     mc_exp_moment,
     mc_moment,
+    occupation,
+    occupation_extrapolated,
     occupation_local_time,
-    occupation_local_time_extrapolated,
+    path_functional,
     tail_prob,
 )
 from tubebound.modelspaces import (
@@ -94,11 +96,8 @@ def test_flat_local_time_at_zero():
     # E L_t = E |B_t| = sqrt(2t/pi) for the local time of |B| at 0
     s = EuclideanAffine(m=1, n=0, r0=0.0)
     n, dt = 2_000, 1e-4
-    vals = np.array(
-        [
-            occupation_local_time_extrapolated(sample_path(s, dt, 1.0, seed=51, index=i), "submanifold", 0.02)
-            for i in range(n)
-        ]
+    vals = path_functional(
+        s, dt, 1.0, n, 51, lambda v: occupation_extrapolated(v, s, "submanifold", dt, 0.02)
     )
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(n))
@@ -111,14 +110,14 @@ def test_richardson_extrapolation_reduces_bias():
     # coarse eps so the O(eps) bias towers over the Monte Carlo noise
     s = EuclideanAffine(m=1, n=0, r0=0.0)
     n, dt, eps = 20_000, 1e-3, 0.4
-    raw_full = np.empty(n)
-    raw_half = np.empty(n)
-    extrap = np.empty(n)
-    for i in range(n):
-        path = sample_path(s, dt, 1.0, seed=52, index=i)
-        raw_full[i] = occupation_local_time(path, "submanifold", eps)
-        raw_half[i] = occupation_local_time(path, "submanifold", eps / 2.0)
-        extrap[i] = 2.0 * raw_half[i] - raw_full[i]
+    raw_full, raw_half = path_functional(
+        s, dt, 1.0, n, 52,
+        lambda v: np.stack(
+            [occupation(v, s, "submanifold", dt, eps), occupation(v, s, "submanifold", dt, eps / 2.0)],
+            axis=1,
+        ),
+    ).T
+    extrap = 2.0 * raw_half - raw_full
     truth = math.sqrt(2.0 / math.pi)
     assert abs(np.mean(extrap) - truth) < abs(np.mean(raw_full) - truth)
     assert abs(np.mean(extrap) - truth) < abs(np.mean(raw_half) - truth)
@@ -129,12 +128,13 @@ def test_sphere_occupation_matches_closed_form():
     # extrapolated estimates both sit on the closed form within noise
     s = SphereInEuclidean(m=2, radius=1.0)
     n, dt, eps = 4_000, 5e-4, 0.2
-    raw = np.empty(n)
-    extrap = np.empty(n)
-    for i in range(n):
-        path = sample_path(s, dt, 1.0, seed=56, index=i)
-        raw[i] = occupation_local_time(path, "submanifold", eps)
-        extrap[i] = occupation_local_time_extrapolated(path, "submanifold", eps)
+    raw, extrap = path_functional(
+        s, dt, 1.0, n, 56,
+        lambda v: np.stack(
+            [occupation(v, s, "submanifold", dt, eps), occupation_extrapolated(v, s, "submanifold", dt, eps)],
+            axis=1,
+        ),
+    ).T
     truth = 0.5597735947761607  # Gamma(0, 1/2)
     for vals in (raw, extrap):
         mean = float(np.mean(vals))

@@ -22,6 +22,7 @@ from tubebound.modelspaces import (
 
 from oracles import (
     circle_heat_kernel_fourier,
+    circle_mean_local_time_quad,
     exp1_quad,
     flat_mgf_mpmath,
     flat_radial_moment,
@@ -284,6 +285,25 @@ def test_circle_mean_local_time_slope():
     t = 600.0
     slope = revuz_mean_local_time(s, t) / t
     assert slope == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-2)
+
+
+@pytest.mark.parametrize(
+    "d,t", [(1e-4, 45.0), (1e-3, 45.0), (1.7314866157472324, 60.0)]
+)
+def test_circle_mean_local_time_affine_asymptote(d, t):
+    # E L_t = t/2pi + d^2/2pi - d + pi/3 up to about e^{-t/2}; adaptive
+    # quadrature of the kernel missed this by ~d at small d and by 5.5e-6
+    # at the last point
+    want = t / (2.0 * math.pi) + d * d / (2.0 * math.pi) - d + math.pi / 3.0
+    assert revuz_mean_local_time(CirclePoint(r0=d), t) == pytest.approx(want, abs=1e-8)
+
+
+def test_circle_mean_local_time_matches_quadrature():
+    for k in range(1, 13):
+        d = math.pi * k / 12.0
+        for t in (1.0, 45.0, 60.0):
+            got = revuz_mean_local_time(CirclePoint(r0=d), t)
+            assert got == pytest.approx(circle_mean_local_time_quad(d, t), abs=1e-10)
 
 
 def test_revuz_unavailable_for_flat():

@@ -1,0 +1,115 @@
+"""The batched path engine: sample_paths rows against one-path sampling,
+the H^3 kernel against a scalar recurrence, block-size independence of
+path_functional, and estimates pinned on the one-path-at-a-time code."""
+import math
+
+import numpy as np
+import pytest
+
+from tubebound import estimate
+from tubebound.errors import DomainError
+from tubebound.estimate import path_functional, tail_prob
+from tubebound.modelspaces import (
+    CirclePoint,
+    EuclideanAffine,
+    HyperbolicH3Point,
+    SphereInEuclidean,
+)
+from tubebound.simulate import _h3_walk, sample_path, sample_paths, stream
+
+from oracles import gaussian_distance_path, h3_walk_scalar
+
+# (scenario, kind, dimension, r0) for the one-path reference
+EXACT_SCENARIOS = [
+    (EuclideanAffine(m=1, n=0), "flat", 1, 0.0),
+    (EuclideanAffine(m=3, n=0, r0=0.7), "flat", 3, 0.7),
+    (SphereInEuclidean(m=2, radius=1.0), "sphere", 2, 1.0),
+    (CirclePoint(r0=1.0), "circle", 1, 1.0),
+]
+
+
+@pytest.mark.parametrize("s,kind,d,r0", EXACT_SCENARIOS, ids=["flat1", "flat3", "sphere", "circle"])
+def test_rows_bit_identical_to_one_path_sampling(s, kind, d, r0, monkeypatch):
+    # a small block makes n = 150 paths span four blocks
+    monkeypatch.setattr(estimate, "_PATH_BLOCK", 40 * 101)
+    dt, T, seed, n = 0.01, 1.0, 17, 150
+    rows = path_functional(s, dt, T, n, seed, lambda v: v)
+    assert rows.shape == (n, 101)
+    for j in range(n):
+        want = gaussian_distance_path(kind, d, r0, dt, 100, stream(seed, j))
+        assert np.array_equal(rows[j], want)
+        assert np.array_equal(sample_path(s, dt, T, seed, index=j).values, want)
+    assert np.array_equal(sample_paths(s, dt, T, seed, 60, 7), rows[60:67])
+
+
+def test_h3_rows_match_scalar_recurrence():
+    # numpy's and libm's cosh/sinh/arccosh differ in the last bit, and
+    # arccosh near 1 turns one ulp of its argument into ~2e-12 relative
+    # error in a distance of 0.01, hence the absolute floor
+    for kappa, r0 in ((-1.0, 0.0), (-2.0, 0.5)):
+        rows = sample_paths(HyperbolicH3Point(kappa=kappa, r0=r0), 1e-3, 0.5, 11, 3, 40)
+        want = np.array([h3_walk_scalar(kappa, r0, 1e-3, 500, stream(11, 3 + j)) for j in range(40)])
+        np.testing.assert_allclose(rows, want, rtol=1e-12, atol=1e-12)
+    one = _h3_walk(-1.0, 0.0, 1e-3, 500, stream(11, 3))
+    assert np.array_equal(one, sample_paths(HyperbolicH3Point(), 1e-3, 0.5, 11, 3, 1)[0])
+
+
+def test_path_functional_independent_of_block_size(monkeypatch):
+    s = HyperbolicH3Point(kappa=-1.0)
+    whole = path_functional(s, 1e-2, 1.0, 50, 8, lambda v: v[:, -1])
+    monkeypatch.setattr(estimate, "_PATH_BLOCK", 1)  # one path per block
+    assert np.array_equal(path_functional(s, 1e-2, 1.0, 50, 8, lambda v: v[:, -1]), whole)
+
+
+def test_blocks_hold_at_most_the_value_budget(monkeypatch):
+    monkeypatch.setattr(estimate, "_PATH_BLOCK", 40 * 101)
+    rows = []
+    path_functional(CirclePoint(), 0.01, 1.0, 150, 3, lambda v: rows.append(len(v)) or v[:, -1])
+    assert rows == [40, 40, 40, 30]
+    monkeypatch.setattr(estimate, "_PATH_BLOCK", 50)  # shorter than one path
+    rows.clear()
+    path_functional(CirclePoint(), 0.01, 1.0, 3, 3, lambda v: rows.append(len(v)) or v[:, -1])
+    assert rows == [1, 1, 1]
+
+
+def test_path_functional_validates_inputs():
+    with pytest.raises(DomainError):
+        path_functional(CirclePoint(), 0.01, 1.0, 0, 1, lambda v: v[:, -1])
+    with pytest.raises(DomainError):
+        path_functional(CirclePoint(), 0.0, 1.0, 10, 1, lambda v: v[:, -1])
+    with pytest.raises(DomainError):
+        sample_paths(CirclePoint(), 0.01, 1.0, 1, 0, 0)
+
+
+def test_sup_tails_pinned_on_one_path_code():
+    # values of the one-path-at-a-time implementation, same seeds
+    flat = tail_prob(EuclideanAffine(m=1, n=0), 2.0, 1.0, True, 4000, 1e-3, seed=5)
+    assert flat.mean == 0.0865
+    h3 = tail_prob(HyperbolicH3Point(kappa=-1.0), 3.0, 1.0, True, 400, 1e-3, seed=5)
+    assert h3.mean == 0.1275
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 12345, 2**40])
+def test_stream_matches_jumped_philox(k):
+    jumped = np.random.Generator(np.random.Philox(key=np.uint64(9)).jumped(k))
+    assert np.array_equal(stream(9, k).standard_normal(16), jumped.standard_normal(16))
+
+
+@pytest.mark.parametrize("k", [-1, 2**63, 2**63 + 5])
+def test_stream_index_out_of_range(k):
+    with pytest.raises(DomainError):
+        stream(9, k)
+
+
+def test_occupation_rows_match_per_path_counts():
+    s = CirclePoint(r0=0.0)
+    dt, eps = 1e-3, 0.05
+    rows = sample_paths(s, dt, 5.0, 4, 0, 6)
+    got = estimate.occupation_extrapolated(rows, s, "cut_locus", dt, eps)
+    for j, values in enumerate(rows):
+        dist = math.pi - values[:-1]
+        half = dt * np.count_nonzero(dist < eps / 2.0) / (2.0 * (eps / 2.0))
+        full = dt * np.count_nonzero(dist < eps) / (2.0 * eps)
+        assert got[j] == 2.0 * half - full
+        path = sample_path(s, dt, 5.0, 4, index=j)
+        assert got[j] == estimate.occupation_local_time_extrapolated(path, "cut_locus", eps)

@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 
 from tubebound.errors import DomainError, SamplerError
+from tubebound.estimate import path_functional
 from tubebound.modelspaces import (
     CirclePoint,
     EuclideanAffine,
@@ -19,6 +20,7 @@ from tubebound.simulate import (
     sample_distance,
     sample_distances,
     sample_path,
+    sample_paths,
     stream,
     write_path_dump,
 )
@@ -111,9 +113,7 @@ def test_path_determinism_bit_identical():
 )
 def test_endpoint_and_path_laws_agree_kolmogorov_smirnov(scenario):
     n = 10_000
-    endpoints = np.array(
-        [sample_path(scenario, 0.01, 1.0, seed=77, index=i).values[-1] for i in range(n)]
-    )
+    endpoints = path_functional(scenario, 0.01, 1.0, n, 77, lambda v: v[:, -1])
     direct = sample_distances(scenario, 1.0, stream(78), n)
     stat = stats.ks_2samp(endpoints, direct).statistic
     critical_1pct = 1.628 * math.sqrt(2.0 / n)
@@ -124,13 +124,13 @@ def test_flat_exit_time_optional_stopping():
     # E tau for exit of (-1, 1) from 0 equals 1
     s = EuclideanAffine(m=1, n=0, r0=0.0)
     dt, T, n = 2.5e-4, 6.0, 4000
-    taus = np.empty(n)
-    for i in range(n):
-        values = sample_path(s, dt, T, seed=303, index=i).values
-        hit = values >= 1.0
-        idx = int(np.argmax(hit))
-        taus[i] = idx * dt if hit[idx] else T
-    mean = float(np.mean(taus))
+
+    def exit_time(v):
+        hit = v >= 1.0
+        idx = np.argmax(hit, axis=1)
+        return np.where(hit[np.arange(len(v)), idx], idx * dt, T)
+
+    mean = float(np.mean(path_functional(s, dt, T, n, 303, exit_time)))
     assert abs(mean - 1.0) <= 0.05
 
 
@@ -138,7 +138,7 @@ def test_h3_walk_cross_checks_exact_endpoint_law():
     # weak order one: generous tolerance against the exact second moment
     s = HyperbolicH3Point(kappa=-1.0)
     n, dt, t = 1500, 2e-3, 1.0
-    finals = np.array([sample_path(s, dt, t, seed=404, index=i).values[-1] for i in range(n)])
+    finals = sample_paths(s, dt, t, 404, 0, n)[:, -1]
     mean, stderr = _mean_with_stderr(finals**2)
     want = exact_moment(s, 1, t)
     assert abs(mean - want) <= 4.0 * stderr + 0.02 * want
