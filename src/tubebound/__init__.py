@@ -28,7 +28,6 @@ from .estimate import (
     MCEstimate,
     mc_exp_moment,
     mc_moment,
-    occupation_local_time,
     occupation_local_time_extrapolated,
     tail_prob,
 )
@@ -45,7 +44,7 @@ from .modelspaces import (
     lyapunov_params,
     revuz_mean_local_time,
 )
-from .simulate import PathSample, sample_distance, sample_path, stream
+from .simulate import PathSample, sample_path, stream
 from .specfun import ComparisonValues, comparison, kummer, laguerre, upper_gamma
 
 __version__ = "0.1.0"
@@ -82,11 +81,9 @@ __all__ = [
     "lyapunov_params",
     "mc_exp_moment",
     "mc_moment",
-    "occupation_local_time",
     "occupation_local_time_extrapolated",
     "radial_R",
     "revuz_mean_local_time",
-    "sample_distance",
     "sample_path",
     "second_moment_bound",
     "stream",

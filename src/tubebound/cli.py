@@ -9,6 +9,7 @@ Exit codes: 0 all comparisons pass, 1 a comparison failed, 2 bad config.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -34,10 +35,10 @@ from .estimate import (
     tail_prob,
 )
 from .modelspaces import (
+    SCENARIOS,
     CirclePoint,
     LyapunovParams,
     Scenario,
-    SphereInEuclidean,
     lyapunov_params,
     revuz_mean_local_time,
     scenario_from_kv,
@@ -53,7 +54,7 @@ def _default_seed() -> int:
 
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scenario", choices=["flat", "circle", "h3", "sphere"], default=None)
+    p.add_argument("--scenario", choices=list(SCENARIOS), default=None)
     p.add_argument("--m", type=int, default=None, help="ambient dimension")
     p.add_argument("--n-dim", type=int, default=None, help="submanifold dimension (flat)")
     p.add_argument("--kappa", type=float, default=None, help="curvature (h3)")
@@ -61,24 +62,13 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r0", type=float, default=None, help="initial distance")
 
 
-def _build_scenario(args: argparse.Namespace) -> Scenario:
-    kind = args.scenario or "flat"
-    kv: dict[str, str] = {"kind": kind}
-    if kind == "flat":
-        kv["m"] = str(args.m if args.m is not None else 3)
-        kv["n"] = str(args.n_dim if args.n_dim is not None else 0)
-        if args.r0 is not None:
-            kv["r0"] = repr(args.r0)
-    elif kind == "circle":
-        if args.r0 is not None:
-            kv["r0"] = repr(args.r0)
-    elif kind == "h3":
-        kv["kappa"] = repr(args.kappa if args.kappa is not None else -1.0)
-        if args.r0 is not None:
-            kv["r0"] = repr(args.r0)
-    else:
-        kv["m"] = str(args.m if args.m is not None else 2)
-        kv["radius"] = repr(args.radius if args.radius is not None else 1.0)
+def _build_scenario(args: argparse.Namespace, kind: str) -> Scenario:
+    """Scenario `kind` from the flags given that are fields of it (--n-dim is n)."""
+    kv: dict[str, object] = {"kind": kind}
+    for f in dataclasses.fields(SCENARIOS[kind]):
+        value = getattr(args, "n_dim" if f.name == "n" else f.name)
+        if value is not None:
+            kv[f.name] = value
     return scenario_from_kv(kv)
 
 
@@ -104,12 +94,17 @@ def _apply_config(parser: argparse.ArgumentParser, cfg: dict[str, str]) -> None:
         if dest not in actions or dest in ("help", "config"):
             raise DomainError(f"unknown config key {key!r}")
         action = actions[dest]
-        if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            typed[dest] = value.lower() in ("1", "true", "yes", "on")
-        elif action.nargs in ("*", "+"):
-            typed[dest] = [(action.type or str)(v) for v in value.split()]
-        else:
-            typed[dest] = (action.type or str)(value)
+        try:
+            if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
+                typed[dest] = value.lower() in ("1", "true", "yes", "on")
+            elif action.nargs in ("*", "+"):
+                typed[dest] = [(action.type or str)(v) for v in value.split()]
+            else:
+                typed[dest] = (action.type or str)(value)
+                if action.choices and typed[dest] not in action.choices:
+                    raise ValueError  # argparse checks only parsed flags against choices
+        except ValueError:
+            raise DomainError(f"bad value for config key {key!r}: {value!r}") from None
     parser.set_defaults(**typed)
 
 
@@ -232,7 +227,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
-    s = _build_scenario(args)
+    s = _build_scenario(args, args.scenario or "flat")
     lp = lyapunov_params(s)
     rows = []
     if args.theta is not None:
@@ -277,9 +272,7 @@ def _cmd_localtime(args: argparse.Namespace) -> int:
         jobs.append(("circle_cut_locus", CirclePoint(r0=0.0), "cut_locus", t, truth, 0.05))
     if args.scenario in (None, "sphere"):
         t = args.t if (args.scenario == "sphere" and args.t is not None) else 1.0
-        m = args.m if args.m is not None else 2
-        radius = args.radius if args.radius is not None else 1.0
-        s = SphereInEuclidean(m=m, radius=radius)
+        s = _build_scenario(args, "sphere")
         jobs.append(("sphere_shell", s, "submanifold", t, revuz_mean_local_time(s, t), 0.10))
     if args.scenario == "flat" or args.scenario == "h3":
         print(f"localtime supports circle and sphere scenarios, not {args.scenario}", file=sys.stderr)
@@ -376,10 +369,7 @@ def main(argv: list[str] | None = None) -> int:
             _apply_config(sub_parser, _load_config(pre.config))
         args = parser.parse_args(argv)
         return args.fn(args)
-    except DomainError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (DomainError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
 

@@ -154,11 +154,6 @@ def occupation_extrapolated(
     return 2.0 * occupation(values, s, target, dt, eps / 2.0) - occupation(values, s, target, dt, eps)
 
 
-def occupation_local_time(path: PathSample, target: str, eps: float) -> float:
-    """occupation() of one path."""
-    return float(occupation(path.values, path.scenario, target, path.dt, eps))
-
-
 def occupation_local_time_extrapolated(path: PathSample, target: str, eps: float) -> float:
     """occupation_extrapolated() of one path."""
     return float(occupation_extrapolated(path.values, path.scenario, target, path.dt, eps))

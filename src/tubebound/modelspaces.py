@@ -4,13 +4,13 @@ Each scenario is an (ambient space, submanifold, start point) triple for
 which some combination of Lyapunov pair, heat kernel, radial moments,
 exponential moments and mean local time is available in closed form.
 Operations return None where no closed form exists; that is a typed
-"unavailable" answer, not a failure.
+"unavailable" answer, not a failure. SCENARIOS maps each kind to its class.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, fields
+from typing import ClassVar, Optional, Union
 
 from .errors import DomainError
 from .specfun import laguerre, upper_gamma
@@ -20,21 +20,23 @@ from .specfun import laguerre, upper_gamma
 class EuclideanAffine:
     """R^m with N an affine subspace of dimension n; distance starts at r0."""
 
-    m: int
-    n: int
+    kind: ClassVar[str] = "flat"
+    m: int = 3
+    n: int = 0
     r0: float = 0.0
 
     def __post_init__(self):
         if not 0 <= self.n <= self.m - 1:
             raise DomainError(f"need 0 <= n <= m-1, got m={self.m}, n={self.n}")
-        if self.r0 < 0.0:
-            raise DomainError(f"r0 must be non-negative, got {self.r0}")
+        if not 0.0 <= self.r0 < math.inf:
+            raise DomainError(f"r0 must be finite and non-negative, got {self.r0}")
 
 
 @dataclass(frozen=True)
 class CirclePoint:
     """Unit circle with N a single point at arc distance r0 from the start."""
 
+    kind: ClassVar[str] = "circle"
     r0: float = 0.0
 
     def __post_init__(self):
@@ -46,28 +48,30 @@ class CirclePoint:
 class HyperbolicH3Point:
     """3-dimensional hyperbolic space of curvature kappa < 0, N = start point."""
 
+    kind: ClassVar[str] = "h3"
     kappa: float = -1.0
     r0: float = 0.0
 
     def __post_init__(self):
-        if self.kappa >= 0.0:
-            raise DomainError(f"kappa must be negative, got {self.kappa}")
-        if self.r0 < 0.0:
-            raise DomainError(f"r0 must be non-negative, got {self.r0}")
+        if not -math.inf < self.kappa < 0.0:
+            raise DomainError(f"kappa must be finite and negative, got {self.kappa}")
+        if not 0.0 <= self.r0 < math.inf:
+            raise DomainError(f"r0 must be finite and non-negative, got {self.r0}")
 
 
 @dataclass(frozen=True)
 class SphereInEuclidean:
     """R^m with N the sphere of the given radius; the walk starts at the centre."""
 
-    m: int
-    radius: float
+    kind: ClassVar[str] = "sphere"
+    m: int = 2
+    radius: float = 1.0
 
     def __post_init__(self):
         if self.m < 2:
             raise DomainError(f"ambient dimension must be >= 2, got {self.m}")
-        if self.radius <= 0.0:
-            raise DomainError(f"radius must be positive, got {self.radius}")
+        if not 0.0 < self.radius < math.inf:
+            raise DomainError(f"radius must be finite and positive, got {self.radius}")
 
     @property
     def r0(self) -> float:
@@ -75,6 +79,7 @@ class SphereInEuclidean:
 
 
 Scenario = Union[EuclideanAffine, CirclePoint, HyperbolicH3Point, SphereInEuclidean]
+SCENARIOS = {c.kind: c for c in (EuclideanAffine, CirclePoint, HyperbolicH3Point, SphereInEuclidean)}
 
 
 @dataclass(frozen=True)
@@ -269,44 +274,19 @@ def revuz_mean_local_time(s: Scenario, t: float) -> Optional[float]:
     return None
 
 
-def scenario_to_kv(s: Scenario) -> dict[str, str]:
-    """Flat key-value form of a scenario, as used by the CLI config."""
-    if isinstance(s, EuclideanAffine):
-        return {"kind": "flat", "m": str(s.m), "n": str(s.n), "r0": repr(s.r0)}
-    if isinstance(s, CirclePoint):
-        return {"kind": "circle", "r0": repr(s.r0)}
-    if isinstance(s, HyperbolicH3Point):
-        return {"kind": "h3", "kappa": repr(s.kappa), "r0": repr(s.r0)}
-    if isinstance(s, SphereInEuclidean):
-        return {"kind": "sphere", "m": str(s.m), "radius": repr(s.radius)}
-    raise TypeError(f"unknown scenario {s!r}")
-
-
-def scenario_from_kv(kv: dict[str, str]) -> Scenario:
-    """Parse the flat key-value form; unknown keys are errors."""
-    fields = dict(kv)
-    kind = fields.pop("kind", None)
-    if kind is None:
-        raise DomainError("scenario needs a 'kind' key")
-    allowed = {
-        "flat": {"m", "n", "r0"},
-        "circle": {"r0"},
-        "h3": {"kappa", "r0"},
-        "sphere": {"m", "radius"},
-    }
-    if kind not in allowed:
+def scenario_from_kv(kv: dict[str, object]) -> Scenario:
+    """Scenario from a 'kind' and any of its fields, each parsed with its
+    annotated type; missing fields take their defaults, unknown keys are errors."""
+    values = dict(kv)
+    kind = values.pop("kind", None)
+    if kind not in SCENARIOS:
         raise DomainError(f"unknown scenario kind {kind!r}")
-    extra = set(fields) - allowed[kind]
+    types = {f.name: {"int": int, "float": float}[f.type] for f in fields(SCENARIOS[kind])}
+    extra = set(values) - set(types)
     if extra:
         raise DomainError(f"unknown scenario keys for kind={kind}: {sorted(extra)}")
-    if kind == "flat":
-        return EuclideanAffine(
-            m=int(fields["m"]), n=int(fields["n"]), r0=float(fields.get("r0", 0.0))
-        )
-    if kind == "circle":
-        return CirclePoint(r0=float(fields.get("r0", 0.0)))
-    if kind == "h3":
-        return HyperbolicH3Point(
-            kappa=float(fields.get("kappa", -1.0)), r0=float(fields.get("r0", 0.0))
-        )
-    return SphereInEuclidean(m=int(fields["m"]), radius=float(fields["radius"]))
+    try:
+        typed = {k: types[k](v) for k, v in values.items()}
+    except ValueError as err:
+        raise DomainError(f"bad scenario value for kind={kind}: {err}") from None
+    return SCENARIOS[kind](**typed)

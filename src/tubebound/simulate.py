@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -54,32 +54,32 @@ class PathSample:
             raise DomainError(f"dt must be positive, got {self.dt}")
 
 
-def sample_distance(s: Scenario, t: float, rng: np.random.Generator) -> float:
-    """One exact draw of r_N(X_t)."""
-    return float(sample_distances(s, t, rng, 1)[0])
-
-
 def sample_distances(s: Scenario, t: float, rng: np.random.Generator, size: int) -> np.ndarray:
     """Vectorized exact draws of r_N(X_t)."""
     if not t > 0.0:
         raise DomainError(f"t must be positive, got {t}")
     if size < 1:
         raise DomainError(f"size must be positive, got {size}")
-    sd = math.sqrt(t)
-    if isinstance(s, EuclideanAffine):
-        d = s.m - s.n
-        g = sd * rng.standard_normal((size, d))
-        g[:, 0] += s.r0
-        return _radius(g)
-    if isinstance(s, CirclePoint):
-        return _circle_distance(s.r0 + sd * rng.standard_normal(size))
-    if isinstance(s, SphereInEuclidean):
-        g = sd * rng.standard_normal((size, s.m))
-        return np.abs(_radius(g) - s.radius)
     if isinstance(s, HyperbolicH3Point):
         if s.r0 != 0.0:
             raise SamplerError("hyperbolic endpoint sampling starts at the pole (r0 = 0)")
         return _h3_endpoint_batch(s.kappa, t, size, rng)
+    return _gaussian_distance(s, lambda d: math.sqrt(t) * rng.standard_normal((size, d)))
+
+
+def _gaussian_distance(s: Scenario, draw: Callable[[int], np.ndarray]) -> np.ndarray:
+    """r_N on the flat, sphere or circle scenario of the Brownian positions
+    draw(d) (d coordinates on the last axis, started at 0), computed in place."""
+    if isinstance(s, EuclideanAffine):
+        pos = draw(s.m - s.n)
+        pos[..., 0] += s.r0
+        return _radius(pos)
+    if isinstance(s, SphereInEuclidean):
+        return np.abs(_radius(draw(s.m)) - s.radius)
+    if isinstance(s, CirclePoint):
+        angle = draw(1)[..., 0]
+        angle += s.r0
+        return _circle_distance(angle)
     raise TypeError(f"unknown scenario {s!r}")
 
 
@@ -155,19 +155,9 @@ def sample_paths(s: Scenario, dt: float, T: float, seed: int, start: int, count:
     if count < 1:
         raise DomainError(f"count must be positive, got {count}")
     rngs = [stream(seed, start + j) for j in range(count)]
-    if isinstance(s, EuclideanAffine):
-        pos = _gaussian_paths(rngs, steps, s.m - s.n, dt)
-        pos[..., 0] += s.r0
-        return _radius(pos)
-    if isinstance(s, SphereInEuclidean):
-        return np.abs(_radius(_gaussian_paths(rngs, steps, s.m, dt)) - s.radius)
-    if isinstance(s, CirclePoint):
-        angle = _gaussian_paths(rngs, steps, 1, dt)[..., 0]
-        angle += s.r0
-        return _circle_distance(angle)
     if isinstance(s, HyperbolicH3Point):
         return _h3_walk(s.kappa, s.r0, dt, steps, rngs)
-    raise TypeError(f"unknown scenario {s!r}")
+    return _gaussian_distance(s, lambda d: _gaussian_paths(rngs, steps, d, dt))
 
 
 def _gaussian_paths(rngs: list[np.random.Generator], steps: int, d: int, dt: float) -> np.ndarray:
@@ -191,15 +181,13 @@ def _radius(pos: np.ndarray) -> np.ndarray:
     return np.sqrt(sq, out=sq)
 
 
-def _h3_walk(kappa: float, r0: float, dt: float, steps: int, rng) -> np.ndarray:
-    """Geodesic random walk on H^3 from distance r0: one path for one
-    generator `rng`, or one row per generator for a list of them.
+def _h3_walk(kappa: float, r0: float, dt: float, steps: int, rngs: list) -> np.ndarray:
+    """Geodesic random walk on H^3 from distance r0, one row per generator.
 
     A tangent Gaussian step of length ell at cosine c to the radial direction
     gives cosh(a r') = cosh(a r) cosh(a ell) + sinh(a r) sinh(a ell) c; only
     cosh(a ell) and sinh(a ell) c are kept. Loop over steps, numpy over paths.
     """
-    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
     a = math.sqrt(-kappa)
     ch, shc = np.empty((2, steps, len(rngs)))  # step-major: contiguous per step
     for j, g in enumerate(rngs):
@@ -216,7 +204,7 @@ def _h3_walk(kappa: float, r0: float, dt: float, steps: int, rng) -> np.ndarray:
     # a step of length ell > 700/a ends beyond 700/a, and nan fails the test too
     if not a * np.max(values) <= 700.0:
         raise SamplerError("geodesic walk left the numerically safe region")
-    return values[0] if isinstance(rng, np.random.Generator) else values
+    return values
 
 
 def write_path_dump(path: PathSample, fh: BinaryIO) -> None:

@@ -176,7 +176,7 @@ def crit_sphere_local_time(quick: bool, seed: int) -> CriterionResult:
     mean = mc_path_mean(
         s, dt, t, n, seed + 6, lambda v: occupation_extrapolated(v, s, "submanifold", dt, eps)
     ).mean / s.radius
-    want = upper_gamma(0.0, s.radius**2 / (2.0 * t))
+    want = revuz_mean_local_time(s, t) / s.radius
     ok = abs(mean - want) <= 0.10 * want
     return _result(
         "sphere-local-time",

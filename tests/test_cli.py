@@ -118,6 +118,19 @@ def test_localtime_sphere_with_dump(tmp_path, capsys):
     assert (tmp_path / "localtime_results.csv").exists()
 
 
+def test_mc_non_finite_scenario_parameter_exits_two(capsys):
+    assert cli.main(["mc", "--scenario", "h3", "--kappa", "nan", "--n", "200"]) == 2
+    assert "kappa" in capsys.readouterr().err
+    assert cli.main(["mc", "--scenario", "flat", "--r0", "nan", "--n", "200"]) == 2
+    assert cli.main(["mc", "--scenario", "sphere", "--radius", "inf", "--n", "200"]) == 2
+
+
+def test_scenario_defaults_and_inapplicable_flags(capsys):
+    # flat defaults to m=3, n=0 (E r^2 = 3t); --radius is not a flat field
+    assert cli.main(["mc", "--n", "200", "--radius", "5"]) == 0
+    assert "bound=3 " in capsys.readouterr().out
+
+
 def test_localtime_rejects_flat(capsys):
     assert cli.main(["localtime", "--scenario", "flat", "--n", "100"]) == 2
 
@@ -147,6 +160,14 @@ def test_config_unknown_key_is_error(tmp_path, capsys):
     cfg.write_text("frobnicate=1\n")
     assert cli.main(["mc", "--config", str(cfg)]) == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_config_bad_value_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    for text in ("m=abc\n", "scenario=torus\n"):
+        cfg.write_text(text)
+        assert cli.main(["mc", "--config", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 def test_config_missing_file_is_error(tmp_path, capsys):

@@ -11,7 +11,6 @@ from tubebound.estimate import (
     mc_moment,
     occupation,
     occupation_extrapolated,
-    occupation_local_time,
     path_functional,
     tail_prob,
 )
@@ -167,15 +166,15 @@ def test_master_verification_property():
 def test_cut_locus_requires_circle():
     path = sample_path(EuclideanAffine(m=1, n=0), 0.01, 1.0, seed=53)
     with pytest.raises(DomainError):
-        occupation_local_time(path, "cut_locus", 0.05)
+        occupation(path.values, path.scenario, "cut_locus", path.dt, 0.05)
     with pytest.raises(DomainError):
-        occupation_local_time(path, "nowhere", 0.05)
+        occupation(path.values, path.scenario, "nowhere", path.dt, 0.05)
 
 
 def test_occupation_validates_eps():
     path = sample_path(CirclePoint(), 0.01, 1.0, seed=54)
     with pytest.raises(DomainError):
-        occupation_local_time(path, "submanifold", 0.0)
+        occupation(path.values, path.scenario, "submanifold", path.dt, 0.0)
 
 
 # ------------------------------------------------------------------ tail_prob

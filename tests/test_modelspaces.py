@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,6 @@ from tubebound.modelspaces import (
     radial_laplacian_half_sq,
     revuz_mean_local_time,
     scenario_from_kv,
-    scenario_to_kv,
 )
 
 from oracles import (
@@ -45,18 +45,52 @@ def test_scenario_validation():
         SphereInEuclidean(m=2, radius=-1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_scenario_rejects_non_finite_parameters(bad):
+    for make in (
+        lambda: EuclideanAffine(m=3, n=0, r0=bad),
+        lambda: CirclePoint(r0=bad),
+        lambda: HyperbolicH3Point(r0=bad),
+        lambda: HyperbolicH3Point(kappa=bad),
+        lambda: SphereInEuclidean(m=2, radius=bad),
+    ):
+        with pytest.raises(DomainError):
+            make()
+
+
 def test_sphere_starts_at_centre():
     assert SphereInEuclidean(m=3, radius=2.5).r0 == 2.5
 
 
 def test_scenario_kv_round_trip():
-    for s in (
-        EuclideanAffine(m=3, n=1, r0=0.5),
-        CirclePoint(r0=math.pi / 2),
-        HyperbolicH3Point(kappa=-2.0, r0=0.0),
-        SphereInEuclidean(m=2, radius=1.0),
-    ):
-        assert scenario_from_kv(scenario_to_kv(s)) == s
+    # every kind with every field given; the scenario's fields print back the kv
+    table = [
+        ({"kind": "flat", "m": "3", "n": "1", "r0": "0.5"}, EuclideanAffine(m=3, n=1, r0=0.5)),
+        ({"kind": "circle", "r0": repr(math.pi / 2)}, CirclePoint(r0=math.pi / 2)),
+        ({"kind": "h3", "kappa": "-2.0", "r0": "0.25"}, HyperbolicH3Point(kappa=-2.0, r0=0.25)),
+        ({"kind": "sphere", "m": "4", "radius": "1.5"}, SphereInEuclidean(m=4, radius=1.5)),
+    ]
+    for kv, want in table:
+        got = scenario_from_kv(kv)
+        assert got == want and type(got) is type(want)
+        fields = {k: repr(v) for k, v in dataclasses.asdict(got).items()}
+        assert {"kind": got.kind, **fields} == kv
+
+
+def test_scenario_kv_defaults():
+    assert scenario_from_kv({"kind": "flat"}) == EuclideanAffine(m=3, n=0, r0=0.0)
+    assert scenario_from_kv({"kind": "sphere"}) == SphereInEuclidean(m=2, radius=1.0)
+    assert scenario_from_kv({"kind": "circle"}) == CirclePoint(r0=0.0)
+    assert scenario_from_kv({"kind": "h3", "r0": "1"}) == HyperbolicH3Point(kappa=-1.0, r0=1.0)
+
+
+def test_scenario_kv_rejects_unparsable_values():
+    with pytest.raises(DomainError):
+        scenario_from_kv({"kind": "flat", "m": "abc"})
+    with pytest.raises(DomainError):
+        scenario_from_kv({"kind": "sphere", "m": "2.5"})
+    with pytest.raises(DomainError):
+        scenario_from_kv({"kind": "h3", "kappa": "nan"})
 
 
 def test_scenario_kv_rejects_unknown_keys():

@@ -50,7 +50,7 @@ def test_h3_rows_match_scalar_recurrence():
         rows = sample_paths(HyperbolicH3Point(kappa=kappa, r0=r0), 1e-3, 0.5, 11, 3, 40)
         want = np.array([h3_walk_scalar(kappa, r0, 1e-3, 500, stream(11, 3 + j)) for j in range(40)])
         np.testing.assert_allclose(rows, want, rtol=1e-12, atol=1e-12)
-    one = _h3_walk(-1.0, 0.0, 1e-3, 500, stream(11, 3))
+    one = _h3_walk(-1.0, 0.0, 1e-3, 500, [stream(11, 3)])[0]
     assert np.array_equal(one, sample_paths(HyperbolicH3Point(), 1e-3, 0.5, 11, 3, 1)[0])
 
 

@@ -17,7 +17,6 @@ from tubebound.modelspaces import (
 from tubebound.simulate import (
     PathSample,
     read_path_dump,
-    sample_distance,
     sample_distances,
     sample_path,
     sample_paths,
@@ -77,14 +76,22 @@ def test_sphere_endpoint_moment():
 
 def test_h3_endpoint_needs_pole_start():
     with pytest.raises(SamplerError):
-        sample_distance(HyperbolicH3Point(kappa=-1.0, r0=1.0), 1.0, stream(1))
+        sample_distances(HyperbolicH3Point(kappa=-1.0, r0=1.0), 1.0, stream(1), 1)
 
 
-def test_sample_distance_scalar_matches_batch_first():
-    s = EuclideanAffine(m=3, n=1, r0=0.5)
-    a = sample_distance(s, 2.0, stream(7, 3))
-    b = float(sample_distances(s, 2.0, stream(7, 3), 5)[0])
-    assert a == b
+@pytest.mark.parametrize(
+    "s,want",
+    [
+        (EuclideanAffine(m=3, n=1, r0=0.5), [2.378050696043966, 1.883734589895386, 1.891062991743264]),
+        (CirclePoint(r0=1.0), [0.9233248909434932, 1.3400686207166812, 1.2079936177767747]),
+        (SphereInEuclidean(m=3, radius=2.0), [0.35054495107997674, 0.3497503150621424, 0.6020529560259074]),
+    ],
+    ids=["flat", "circle", "sphere"],
+)
+def test_gaussian_endpoint_draws_golden(s, want):
+    # first draws of stream(7, 3), pinned bit for bit on the per-kind samplers
+    # that preceded the shared Gaussian distance map
+    assert sample_distances(s, 2.0, stream(7, 3), 3).tolist() == want
 
 
 # -------------------------------------------------------------------- paths
