@@ -11,9 +11,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .modelspaces import LyapunovParams
-from .specfun import kummer, laguerre
+from .specfun import kummerm1, laguerre
 
 SATURATION = 1e300
 _LOG_SAT = math.log(SATURATION)
@@ -85,7 +85,8 @@ def exp_dist_bound(p: LyapunovParams, r0: float, t: float, theta: float) -> floa
     """Bound on E exp(theta r_N(X_t)), valid for nu >= 2.
 
     1 + (1 + B^(-1/2)) (1F1(nu/2, 1/2, B) - 1) with
-    B = 12 theta^2 (r0^2 + 2 R(t)) e^(lam t); continuously extended to 1 at B = 0.
+    B = 12 theta^2 (r0^2 + 2 R(t)) e^(lam t); continuously extended to 1 at B = 0,
+    saturated at 1e300.
     """
     if p.nu < 2.0:
         raise DomainError(f"exp_dist_bound requires nu >= 2, got nu={p.nu}")
@@ -94,19 +95,11 @@ def exp_dist_bound(p: LyapunovParams, r0: float, t: float, theta: float) -> floa
     B = _bold_r(p, r0, t, theta)
     if B == 0.0:
         return 1.0
-    if B > 600.0:
-        # asymptotic log form with first correction; only reached near the cap
-        a = p.nu / 2.0
-        log_f1 = (
-            B
-            + (a - 0.5) * math.log(B)
-            + math.lgamma(0.5)
-            - math.lgamma(a)
-            + math.log1p((1.0 - a) * (0.5 - a) / B)
-        )
-        return _exp_sat(log_f1 + math.log1p(B**-0.5))
-    f1 = kummer(p.nu / 2.0, 0.5, B)
-    return 1.0 + (1.0 + B**-0.5) * (f1 - 1.0)
+    try:
+        f1m1 = kummerm1(p.nu / 2.0, 0.5, B)
+    except ConvergenceError:  # 1F1 itself overflows a float
+        return SATURATION
+    return min(1.0 + (1.0 + B**-0.5) * f1m1, SATURATION)
 
 
 def exp_sq_bound(p: LyapunovParams, r0: float, t: float, theta: float) -> float:
@@ -281,9 +274,7 @@ def feynman_kac_bound(
                 f"linear mode requires nu >= 2 and lam >= 0, got nu={p.nu}, lam={p.lam}"
             )
         inner = exp_dist_bound(p, r0, t, C * t)
-        if inner >= SATURATION:
-            return SATURATION
-        return _exp_sat(C * t + math.log(inner))
+        return SATURATION if C * t + math.log(inner) >= _LOG_SAT else math.exp(C * t) * inner
     x = C * t * _growth(p.lam, t)
     if x >= 1.0:
         raise DomainError(f"domain requires C t R(t) e^(lam t) < 1, got {x}")

@@ -264,14 +264,16 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 
 
 def _cmd_localtime(args: argparse.Namespace) -> int:
+    if args.t is not None and args.scenario is None:
+        raise DomainError("--t needs --scenario circle or sphere (the two jobs run at different t)")
     jobs = []
     if args.scenario in (None, "circle"):
-        t = args.t if (args.scenario == "circle" and args.t is not None) else 20.0
+        t = 20.0 if args.t is None else args.t
         # the cut locus of the start is the antipode, at distance pi
         truth = revuz_mean_local_time(CirclePoint(r0=math.pi), t)
         jobs.append(("circle_cut_locus", CirclePoint(r0=0.0), "cut_locus", t, truth, 0.05))
     if args.scenario in (None, "sphere"):
-        t = args.t if (args.scenario == "sphere" and args.t is not None) else 1.0
+        t = 1.0 if args.t is None else args.t
         s = _build_scenario(args, "sphere")
         jobs.append(("sphere_shell", s, "submanifold", t, revuz_mean_local_time(s, t), 0.10))
     if args.scenario == "flat" or args.scenario == "h3":

@@ -151,7 +151,8 @@ def occupation_extrapolated(
     values: np.ndarray, s: Scenario, target: str, dt: float, eps: float
 ) -> np.ndarray:
     """Richardson combination 2 L(eps/2) - L(eps), removing the O(eps) bias."""
-    return 2.0 * occupation(values, s, target, dt, eps / 2.0) - occupation(values, s, target, dt, eps)
+    d = _target_distance(values, s, target)  # once for both bands; a distance is its own target
+    return 2.0 * occupation(d, s, "submanifold", dt, eps / 2.0) - occupation(d, s, "submanifold", dt, eps)
 
 
 def occupation_local_time_extrapolated(path: PathSample, target: str, eps: float) -> float:

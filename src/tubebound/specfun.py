@@ -13,6 +13,7 @@ EULER_GAMMA = 0.5772156649015329
 
 _KUMMER_CAP = 100_000
 _KUMMER_TOL = 1e-16
+_ASYM_TOL = 1e-17
 _GAMMA_TOL = 1e-15
 _GAMMA_CAP = 10_000
 
@@ -110,32 +111,70 @@ def laguerre(p: int, alpha: float, z: float) -> float:
 
 
 def kummer(a: float, b: float, z: float) -> float:
-    """Confluent hypergeometric 1F1(a, b, z) by term-ratio series summation.
+    """Confluent hypergeometric 1F1(a, b, z) = 1 + kummerm1(a, b, z)."""
+    return 1.0 + kummerm1(a, b, z)
 
-    Terminates when the running term drops below 1e-16 of the partial sum
-    (two consecutive times, since terms first grow for large z) and raises
-    ConvergenceError at the 1e5-term cap. Intended for z >= 0 or for
-    polynomial cases (a a non-positive integer), where the series is safe.
+
+def kummerm1(a: float, b: float, z: float) -> float:
+    """1F1(a, b, z) - 1, free of the cancellation of kummer(a, b, z) - 1 near z = 0.
+
+    Large z (>= 50): Gamma(b)/Gamma(a) e^z z^(a-b) S - 1, S from _large_z_sum. Otherwise the
+    term-ratio series past its leading 1, until a shrinking term is twice below 1e-16 of
+    the sum (z >= 0 or a non-positive integer a). ConvergenceError past float range or at
+    the 1e5-term cap.
     """
     if b <= 0.0 and b == int(b):
         raise DomainError(f"b must not be a non-positive integer, got {b}")
-    term = 1.0
-    total = 1.0
+    s = _large_z_sum(a, b, z)
+    if s is not None:
+        # the direct product, to a few ulps; e^z in halves, as it can overflow where 1F1 does not
+        half = math.exp(z / 2.0) if z < 1400.0 else math.inf
+        total = z ** (a - b) * math.gamma(b) / math.gamma(a) * s * half * half
+        if not math.isfinite(total):
+            raise ConvergenceError(f"1F1({a}, {b}, {z}) overflows a float")
+        if total >= 2.0:  # below, 1F1 - 1 would cancel: the series has it exactly
+            return total - 1.0
+    term, total = 1.0, 0.0  # total: the terms past the leading 1
     small = 0
     for p in range(_KUMMER_CAP):
-        term *= (a + p) * z / ((b + p) * (p + 1))
+        ratio = (a + p) * z / ((b + p) * (p + 1))
+        term *= ratio
         total += term
         if not math.isfinite(total):
-            raise ConvergenceError(f"1F1({a}, {b}, {z}) overflowed; z out of practical range")
-        if abs(term) <= _KUMMER_TOL * abs(total):
+            raise ConvergenceError(f"1F1({a}, {b}, {z}) overflows a float")
+        if abs(term) <= _KUMMER_TOL * abs(total) and abs(ratio) < 1.0:
             small += 1
             if small >= 2 or term == 0.0:
                 return total
         else:
             small = 0
-    raise ConvergenceError(
-        f"1F1({a}, {b}, {z}) did not converge within {_KUMMER_CAP} terms"
-    )
+    raise ConvergenceError(f"1F1({a}, {b}, {z}) did not converge within {_KUMMER_CAP} terms")
+
+
+def _large_z_sum(a: float, b: float, z: float) -> float | None:
+    """S = sum_k (b-a)_k (1-a)_k / (k! z^k) of DLMF 13.7.2, finite for b = 1/2 and a = nu/2,
+    or None where 13.7.2 would miss 1F1 by 1e-17 relative or its product leaves the floats.
+    Below z = 50 the series is cheap and exact to a few ulps, so the expansion is not tried."""
+    if not (0.0 < min(a, b) and max(a, b) < 170.0 and z >= 50.0):
+        return None
+    if abs((a - b) * math.log(z)) > 350.0 or abs(math.lgamma(b) - math.lgamma(a)) > 350.0:
+        return None  # z^(a-b) Gamma(b)/Gamma(a) could leave the normal floats
+    # the part 13.7.2 drops is 0 if b-a is an integer <= 0; else, once its own series
+    # shrinks (z > |a (a-b+1)|), it is ~ Gamma(a)/|Gamma(b-a)| e^-z z^(b-2a) relative
+    if b - a > 0.0 or b - a != int(b - a):
+        lg = math.lgamma(a) - math.lgamma(b - a) - z + (b - 2.0 * a) * math.log(z)
+        if z <= abs(a * (a - b + 1.0)) or lg > math.log(_ASYM_TOL):
+            return None
+    term = total = 1.0
+    for k in range(1, _KUMMER_CAP):
+        ratio = (b - a + k - 1) * (k - a) / (k * z)
+        if abs(ratio) > 1.0:  # the terms start to grow
+            return None
+        term *= ratio
+        total += term
+        if abs(term) <= _ASYM_TOL * total:
+            return total
+    return None
 
 
 def upper_gamma(a: float, x: float) -> float:

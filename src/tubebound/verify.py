@@ -194,14 +194,14 @@ def crit_euler_mascheroni(quick: bool, seed: int) -> CriterionResult:
 
 
 def crit_revuz_slope(quick: bool, seed: int) -> CriterionResult:
-    t = 50.0
-    s = CirclePoint(r0=math.pi / 2.0)
-    slope = revuz_mean_local_time(s, t) / t
-    want = 1.0 / (2.0 * math.pi)
-    ok = abs(slope - want) <= 0.02 * want
+    # E L_t = t/2pi + G(d), G(d) = d^2/2pi - d + pi/3, up to ~e^(-t/2) at circle distance d
+    t, d = 50.0, math.pi / 2.0
+    got = revuz_mean_local_time(CirclePoint(r0=d), t)
+    want = (t + d * d) / (2.0 * math.pi) - d + math.pi / 3.0
+    ok = abs(got - want) <= 1e-8
     return _result(
         "revuz-slope",
-        [(ok, f"(1/t) E L_t = {slope:.6f} vs 1/2pi = {want:.6f} at t={t} (tol 2%)")],
+        [(ok, f"E L_t = {got:.10f} vs t/2pi + G(pi/2) = {want:.10f} (|diff| {abs(got - want):.0e}, tol 1e-8)")],
     )
 
 

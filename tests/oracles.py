@@ -84,6 +84,20 @@ def flat_mgf_mpmath(d: int, r0: float, t: float, theta: float) -> float:
     return float(val)
 
 
+def kummer_m1_mpmath(a: float, b: float, z: float):
+    """1F1(a, b, z) - 1 at 40 digits as (a z / b) 2F2(a+1, 1; b+1, 2; z), an mpf.
+
+    mpmath.hyp1f1(2.2e-308, 0.25, 679) returns 1.0, not 1 + 1.2e-13: for a tiny a
+    its series stops on the first, tiny terms. This form has no leading 1 to hide
+    them behind, and it keeps the digits of 1F1 - 1 near z = 0.
+    """
+    import mpmath as mp
+
+    mp.mp.dps = 40
+    a, b, z = mp.mpf(a), mp.mpf(b), mp.mpf(z)
+    return a * z / b * mp.hyp2f2(a + 1, 1, b + 1, 2, z)
+
+
 def h3_radial_density(r: float, kappa: float, t: float) -> float:
     """Density of the distance from the start for Brownian motion on H^3_kappa."""
     a = math.sqrt(-kappa)

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from scipy import special as sps
 
 from tubebound.bounds import (
+    SATURATION,
     BoundCurve,
+    _bold_r,
     bound_curve,
     concentration_bound,
     concentration_bound_optimized,
@@ -33,12 +35,14 @@ from tubebound.modelspaces import (
     exact_moment,
     lyapunov_params,
 )
+from tubebound.specfun import _large_z_sum
 
 from oracles import (
     cameron_martin_quadratic,
     chi_tail,
     flat_mgf_mpmath,
     flat_radial_moment,
+    kummer_m1_mpmath,
     sup_tail_reflection,
 )
 
@@ -202,14 +206,54 @@ def test_exp_dist_requires_nu_at_least_two():
         exp_dist_bound(LyapunovParams(nu=1.5, lam=0.0), 0.0, 1.0, 0.5)
 
 
-def test_exp_dist_large_argument_branch_is_continuous():
-    # series vs asymptotic around the switch at B = 24 theta^2 t = 600
-    for nu in (2.0, 3.0):
-        p = LyapunovParams(nu=nu, lam=0.0)
-        lo = exp_dist_bound(p, 0.0, 1.0, math.sqrt(599.9 / 24.0))
-        hi = exp_dist_bound(p, 0.0, 1.0, math.sqrt(600.1 / 24.0))
-        assert math.isfinite(lo) and math.isfinite(hi)
-        assert lo < hi < lo * 1.3
+def _exp_dist_closed_form(nu, B):
+    # 1 + (1 + B^(-1/2)) (1F1(nu/2, 1/2, B) - 1) at 40 digits; 1 at B = 0
+    if B == 0.0:
+        return 1.0
+    return 1 + (1 + B**-0.5) * kummer_m1_mpmath(nu / 2.0, 0.5, B)
+
+
+def _switch_point(a):
+    # smallest z (to 1e-9 relative) at which kummer(a, 1/2, z) sums the large-z expansion
+    lo, hi = 1.0, 200.0
+    assert _large_z_sum(a, 0.5, lo) is None and _large_z_sum(a, 0.5, hi) is not None
+    while hi - lo > 1e-9 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if _large_z_sum(a, 0.5, mid) is not None else (mid, hi)
+    return hi
+
+
+@pytest.mark.parametrize("a", [1.0, 1.5, 2.5, 5.0])
+def test_exp_dist_exact_across_kummer_switch(a):
+    # just below the switch kummer runs the series, just above the expansion
+    p = LyapunovParams(nu=2.0 * a, lam=0.0)
+    zs = _switch_point(a)
+    for z, expansion in ((zs * (1.0 - 1e-6), False), (zs * (1.0 + 1e-6), True)):
+        theta = math.sqrt(z / 24.0)
+        B = _bold_r(p, 0.0, 1.0, theta)
+        assert (_large_z_sum(a, 0.5, B) is not None) == expansion
+        want = _exp_dist_closed_form(2.0 * a, B)
+        assert abs(exp_dist_bound(p, 0.0, 1.0, theta) - want) <= 1e-14 * want
+
+
+@given(nu=st.floats(2.0, 12.0), B=st.floats(0.0, 2000.0), r0=st.floats(0.0, 2.0))
+@settings(max_examples=300, deadline=None)
+def test_exp_dist_and_linear_feynman_kac_never_below_closed_form(nu, B, r0):
+    # t = 1, lam = 0: B = 12 theta^2 (r0^2 + 2); Feynman-Kac linear is e^(C t) times
+    # exp_dist_bound at theta = C t
+    p = LyapunovParams(nu=nu, lam=0.0)
+    theta = math.sqrt(B / (12.0 * (r0 * r0 + 2.0)))
+    Bx = _bold_r(p, r0, 1.0, theta)
+    want = _exp_dist_closed_form(nu, Bx)
+    for got, closed in (
+        (exp_dist_bound(p, r0, 1.0, theta), want),
+        (feynman_kac_bound("linear", p, r0, 1.0, theta), want * math.exp(theta)),
+    ):
+        if closed >= SATURATION:
+            assert got == SATURATION
+        else:
+            assert got >= closed * (1.0 - 1e-13)
+            assert got <= closed * (1.0 + 1e-13)
 
 
 @given(

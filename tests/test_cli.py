@@ -135,6 +135,14 @@ def test_localtime_rejects_flat(capsys):
     assert cli.main(["localtime", "--scenario", "flat", "--n", "100"]) == 2
 
 
+def test_localtime_t_without_scenario_is_config_error(capsys):
+    # the circle and sphere jobs run at different t, so one --t cannot set both
+    assert cli.main(["localtime", "--t", "0.5", "--n", "20", "--dt", "1e-2"]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and "--t" in captured.err
+    assert captured.out == ""
+
+
 # --------------------------------------------------------------------- config
 
 def test_config_file_provides_defaults(tmp_path, capsys):

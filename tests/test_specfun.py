@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ from tubebound.errors import ConvergenceError, DomainError
 from tubebound.specfun import (
     comparison,
     kummer,
+    kummerm1,
     laguerre,
     lemma_laguerre_rhs,
     upper_gamma,
 )
 
-from oracles import exp1_quad, laguerre_direct_sum, upper_gamma_quad
+from oracles import exp1_quad, kummer_m1_mpmath, laguerre_direct_sum, upper_gamma_quad
 
 
 # ---------------------------------------------------------------- comparison
@@ -186,6 +188,45 @@ def test_kummer_against_scipy_grid():
     for a in (0.5, 1.0, 1.5, 2.5):
         for z in (0.1, 1.0, 5.0, 20.0):
             assert kummer(a, 0.5, z) == pytest.approx(float(sps.hyp1f1(a, 0.5, z)), rel=1e-12)
+
+
+@given(
+    a=st.floats(0.0, 8.0, exclude_min=True, allow_subnormal=False),
+    b=st.floats(0.25, 8.0),
+    z=st.floats(0.0, 2000.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_kummer_matches_mpmath(a, b, z):
+    # both regimes, the switch between them and the edge of float range; a tiny a
+    # (1e-301 at z = 816) needs the series to run past its first, tiny terms. A
+    # subnormal a is left out: its first term a z / b is subnormal too and keeps
+    # only a few bits, which the later terms multiply up to the leading digits.
+    ref = 1 + kummer_m1_mpmath(a, b, z)
+    if ref > sys.float_info.max:
+        with pytest.raises(ConvergenceError):
+            kummer(a, b, z)
+        return
+    assert abs(kummer(a, b, z) - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("a, b, z", [(1.0, 40.0, 60.0), (7.0, 0.5, 50.0)])
+def test_kummer_explicit_cases_match_mpmath(a, b, z):
+    # (1, 40, 60): the expansion's sum is exact (1 - a = 0) but the part it drops
+    # is 1e-3 relative, so the series must be used; (7, 0.5, 50): nu = 14 at z = 50
+    ref = 1 + kummer_m1_mpmath(a, b, z)
+    assert abs(kummer(a, b, z) - ref) <= 1e-14 * ref
+
+
+@given(
+    a=st.floats(0.5, 6.0),
+    b=st.floats(0.25, 4.0),
+    z=st.just(0.0) | st.floats(1e-300, 1e-3),  # 1F1 - 1 ~ a z / b stays a normal float
+)
+@settings(max_examples=100, deadline=None)
+def test_kummerm1_has_no_cancellation_near_zero(a, b, z):
+    # kummer(a, b, z) - 1 keeps only ~1e-16 / z of its digits here
+    ref = kummer_m1_mpmath(a, b, z)
+    assert abs(kummerm1(a, b, z) - ref) <= 1e-14 * abs(ref)
 
 
 def test_kummer_nonconvergence_is_loud():
