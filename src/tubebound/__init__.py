@@ -23,7 +23,7 @@ from .bounds import (
     radial_R,
     second_moment_bound,
 )
-from .errors import ConvergenceError, DomainError, SamplerError
+from .errors import ConvergenceError, DomainError
 from .estimate import (
     MCEstimate,
     mc_exp_moment,
@@ -60,7 +60,6 @@ __all__ = [
     "LyapunovParams",
     "MCEstimate",
     "PathSample",
-    "SamplerError",
     "Scenario",
     "SphereInEuclidean",
     "comparison",

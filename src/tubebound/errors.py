@@ -7,7 +7,3 @@ class DomainError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """A series or iteration hit its cap before converging."""
-
-
-class SamplerError(RuntimeError):
-    """A sampler exhausted its retry budget."""

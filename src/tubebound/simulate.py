@@ -1,8 +1,12 @@
 """Samplers for the distance process r_N(X_t) on the model scenarios.
 
-Endpoint laws are exact everywhere (the hyperbolic one by rejection);
-pathwise sampling is exact except on H^3, where a geodesic random walk of
-weak order one is provided for cross-checks only.
+Every scenario is a function of Brownian positions in a Euclidean space,
+so endpoint laws are exact and paths are exact at grid times. On H^3 the
+positions get a drift and a random start (Rogers & Pitman 1981, "Markov
+functions", Ann. Probab. 9): the norm of r0 U + B_t + a t e in R^3 is the
+distance to N of Brownian motion on H^3 of curvature -a^2 started at
+distance r0, when U is von Mises-Fisher on S^2 about e with concentration
+a r0.
 
 Random streams are counter-based: stream(seed, k) is the Philox generator
 jumped k blocks, so path k is reproducible independently of how many
@@ -17,7 +21,7 @@ from typing import BinaryIO, Callable
 
 import numpy as np
 
-from .errors import DomainError, SamplerError
+from .errors import DomainError
 from .modelspaces import (
     CirclePoint,
     EuclideanAffine,
@@ -25,8 +29,6 @@ from .modelspaces import (
     Scenario,
     SphereInEuclidean,
 )
-
-_REJECTION_CAP = 10**6
 
 DUMP_MAGIC = b"TBND"
 DUMP_VERSION = 1
@@ -60,16 +62,17 @@ def sample_distances(s: Scenario, t: float, rng: np.random.Generator, size: int)
         raise DomainError(f"t must be positive, got {t}")
     if size < 1:
         raise DomainError(f"size must be positive, got {size}")
-    if isinstance(s, HyperbolicH3Point):
-        if s.r0 != 0.0:
-            raise SamplerError("hyperbolic endpoint sampling starts at the pole (r0 = 0)")
-        return _h3_endpoint_batch(s.kappa, t, size, rng)
-    return _gaussian_distance(s, lambda d: math.sqrt(t) * rng.standard_normal((size, d)))
+    return _gaussian_distance(
+        s, lambda d: math.sqrt(t) * rng.standard_normal((size, d)), t, lambda: rng.random((size, 2))
+    )
 
 
-def _gaussian_distance(s: Scenario, draw: Callable[[int], np.ndarray]) -> np.ndarray:
-    """r_N on the flat, sphere or circle scenario of the Brownian positions
-    draw(d) (d coordinates on the last axis, started at 0), computed in place."""
+def _gaussian_distance(s: Scenario, draw: Callable[[int], np.ndarray], time=None, uniforms=None) -> np.ndarray:
+    """r_N on scenario s of the Brownian positions draw(d) (d coordinates on
+    the last axis, started at 0), computed in place. Only H^3 reads the
+    times `time` of the positions and, off the pole, calls uniforms() after
+    draw for two uniforms on the last axis, broadcastable against them.
+    """
     if isinstance(s, EuclideanAffine):
         pos = draw(s.m - s.n)
         pos[..., 0] += s.r0
@@ -80,6 +83,21 @@ def _gaussian_distance(s: Scenario, draw: Callable[[int], np.ndarray]) -> np.nda
         angle = draw(1)[..., 0]
         angle += s.r0
         return _circle_distance(angle)
+    if isinstance(s, HyperbolicH3Point):  # Rogers-Pitman, e = e_0 (module docstring)
+        a = math.sqrt(-s.kappa)
+        pos = draw(3)
+        pos[..., 0] += a * time
+        if s.r0 > 0.0:
+            # U_0 = w by inverting its law, density proportional to e^{k w}
+            # on [-1, 1]; the azimuth phi is uniform
+            k, u = a * s.r0, uniforms()
+            w = 1.0 + np.log1p(u[..., 0] * math.expm1(-2.0 * k)) / k
+            rho = s.r0 * np.sqrt(np.maximum((1.0 - w) * (1.0 + w), 0.0))
+            phi = 2.0 * math.pi * u[..., 1]
+            pos[..., 0] += s.r0 * w
+            pos[..., 1] += rho * np.cos(phi)
+            pos[..., 2] += rho * np.sin(phi)
+        return _radius(pos)
     raise TypeError(f"unknown scenario {s!r}")
 
 
@@ -89,47 +107,6 @@ def _circle_distance(angle: np.ndarray) -> np.ndarray:
     np.mod(angle, 2.0 * math.pi, out=angle)
     angle -= math.pi
     return np.abs(angle, out=angle)
-
-
-def _h3_endpoint_batch(kappa: float, t: float, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Rejection sampler for the radial law r sinh(a r) exp(-r^2/2t) dr.
-
-    Splitting sinh leaves the target proportional to
-    r (1 - e^{-2 a r}) exp(-(r - a t)^2 / 2t) on r > 0. The linear factor is
-    enveloped by r <= e^{delta r} / (e delta), which tilts the Gaussian mean
-    to a t + delta t; a draw r from the positive part of
-    N(a t + delta t, t) is then accepted with probability
-    e delta r e^{-delta r} (1 - e^{-2 a r}) <= 1.
-    delta = 1/(a t + sqrt t) keeps the acceptance rate near 0.5 for
-    moderate times.
-    """
-    a = math.sqrt(-kappa)
-    mu = a * t
-    delta = 1.0 / (mu + math.sqrt(t))
-    mean = mu + delta * t
-    sd = math.sqrt(t)
-    out = np.empty(size)
-    filled = 0
-    proposals = 0
-    cap = max(_REJECTION_CAP, 60 * size)
-    while filled < size:
-        k = max(2 * (size - filled), 64)
-        proposals += k
-        if proposals > cap:
-            raise SamplerError(
-                f"hyperbolic rejection sampler exceeded {cap} proposals at t={t}"
-            )
-        r = mean + sd * rng.standard_normal(k)
-        u = rng.random(k)
-        pos = r > 0.0
-        r = r[pos]
-        u = u[pos]
-        accept = u < math.e * delta * r * np.exp(-delta * r) * (-np.expm1(-2.0 * a * r))
-        acc = r[accept]
-        take = min(size - filled, acc.size)
-        out[filled : filled + take] = acc[:take]
-        filled += take
-    return out
 
 
 def grid_steps(dt: float, T: float) -> int:
@@ -145,11 +122,11 @@ def sample_path(s: Scenario, dt: float, T: float, seed: int, index: int = 0) -> 
 
 
 def sample_paths(s: Scenario, dt: float, T: float, seed: int, start: int, count: int) -> np.ndarray:
-    """Paths start..start+count-1 of r_N(X) on the grid k*dt, one per row.
+    """Paths start..start+count-1 of r_N(X) on the grid k*dt, one per row,
+    exact at grid times on every scenario.
 
     Row j draws only from stream(seed, start + j), whatever else shares the
-    block. Gaussian increments make the flat, sphere and circle paths exact
-    at grid times; on H^3 a geodesic random walk (weak order one) is used.
+    block: its Gaussian increments, then (H^3 off the pole) its start.
     """
     steps = grid_steps(dt, T)
     if count < 1:
@@ -158,6 +135,17 @@ def sample_paths(s: Scenario, dt: float, T: float, seed: int, start: int, count:
     if isinstance(s, HyperbolicH3Point):
         return _h3_walk(s.kappa, s.r0, dt, steps, rngs)
     return _gaussian_distance(s, lambda d: _gaussian_paths(rngs, steps, d, dt))
+
+
+def _h3_walk(kappa: float, r0: float, dt: float, steps: int, rngs: list) -> np.ndarray:
+    """sample_paths on H^3 from distance r0, one row per generator (the
+    benchmark times H^3 paths under this name)."""
+    return _gaussian_distance(
+        HyperbolicH3Point(kappa=kappa, r0=r0),
+        lambda d: _gaussian_paths(rngs, steps, d, dt),
+        dt * np.arange(steps + 1),
+        lambda: np.array([g.random(2) for g in rngs])[:, None],
+    )
 
 
 def _gaussian_paths(rngs: list[np.random.Generator], steps: int, d: int, dt: float) -> np.ndarray:
@@ -179,32 +167,6 @@ def _radius(pos: np.ndarray) -> np.ndarray:
     for i in range(1, pos.shape[-1]):
         sq += pos[..., i]
     return np.sqrt(sq, out=sq)
-
-
-def _h3_walk(kappa: float, r0: float, dt: float, steps: int, rngs: list) -> np.ndarray:
-    """Geodesic random walk on H^3 from distance r0, one row per generator.
-
-    A tangent Gaussian step of length ell at cosine c to the radial direction
-    gives cosh(a r') = cosh(a r) cosh(a ell) + sinh(a r) sinh(a ell) c; only
-    cosh(a ell) and sinh(a ell) c are kept. Loop over steps, numpy over paths.
-    """
-    a = math.sqrt(-kappa)
-    ch, shc = np.empty((2, steps, len(rngs)))  # step-major: contiguous per step
-    for j, g in enumerate(rngs):
-        v = math.sqrt(dt) * g.standard_normal((steps, 3))
-        radial = v[:, 0].copy()
-        ell = _radius(v)
-        ch[:, j] = np.cosh(a * ell)
-        shc[:, j] = np.sinh(a * ell) * (radial / ell)
-    values = np.full((len(rngs), steps + 1), r0)
-    for k in range(steps):
-        u = a * values[:, k]
-        arg = np.cosh(u) * ch[k] + np.sinh(u) * shc[k]
-        values[:, k + 1] = np.arccosh(np.maximum(arg, 1.0)) / a
-    # a step of length ell > 700/a ends beyond 700/a, and nan fails the test too
-    if not a * np.max(values) <= 700.0:
-        raise SamplerError("geodesic walk left the numerically safe region")
-    return values
 
 
 def write_path_dump(path: PathSample, fh: BinaryIO) -> None:

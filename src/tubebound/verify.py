@@ -22,7 +22,7 @@ from .bounds import (
     logsob_bound,
     second_moment_bound,
 )
-from .estimate import mc_exp_moment, mc_moment, mc_path_mean, occupation_extrapolated
+from .estimate import _mc_reduce, mc_exp_moment, mc_moment, mc_path_mean, occupation_extrapolated
 from .modelspaces import (
     CirclePoint,
     EuclideanAffine,
@@ -152,6 +152,23 @@ def crit_h3_exp_moment(quick: bool, seed: int) -> CriterionResult:
                 (bound >= exact, f"theta={theta},t={t}: bound={bound:.5f} >= exact={exact:.5f}")
             )
     return _result("h3-exp-moment", checks)
+
+
+def crit_h3_off_pole(quick: bool, seed: int) -> CriterionResult:
+    # Lap cosh r = 3 cosh r on H^3 (kappa = -1), so E cosh r_1 = cosh(r0) e^1.5;
+    # endpoints and grid paths are exact, so the checks have no bias budget
+    n, paths = (100_000, 2_000) if quick else (1_000_000, 20_000)
+    far, near = HyperbolicH3Point(r0=2.0), HyperbolicH3Point(r0=0.7)
+    end, end_se, _ = _mc_reduce(far, 1.0, n, seed + 14, 1, np.cosh)
+    path = mc_path_mean(near, 0.05, 1.0, paths, seed + 15, lambda v: np.cosh(v[:, -1]))
+    checks = []
+    for label, r0, mean, stderr in (("endpoint", 2.0, end, end_se), ("path dt=0.05", 0.7, path.mean, path.stderr)):
+        want = math.cosh(r0) * math.exp(1.5)
+        checks.append((abs(mean - want) <= 3.0 * stderr, f"{label} r0={r0}: mc={mean:.4f}±{stderr:.4f} vs {want:.4f}"))
+    sq = mc_moment(far, 1, 1.0, n, seed + 16).mean
+    bound = even_moment_bound(LyapunovParams(nu=3.0, lam=2.0 / 3.0), 2.0, 1.0, 1)
+    checks.append((sq <= bound, f"endpoint r0=2.0: E r^2={sq:.4f} <= bound={bound:.4f}"))
+    return _result("h3-off-pole", checks)
 
 
 def crit_circle_cut_locus_local_time(quick: bool, seed: int) -> CriterionResult:
@@ -312,6 +329,7 @@ CRITERIA: list[tuple[str, Callable[[bool, int], CriterionResult]]] = [
     ("h3-second-moment", crit_h3_second_moment),
     ("flat-equality", crit_flat_equality),
     ("h3-exp-moment", crit_h3_exp_moment),
+    ("h3-off-pole", crit_h3_off_pole),
     ("circle-cut-locus-local-time", crit_circle_cut_locus_local_time),
     ("sphere-local-time", crit_sphere_local_time),
     ("euler-mascheroni", crit_euler_mascheroni),

@@ -190,25 +190,6 @@ def gaussian_distance_path(kind: str, d: int, r0: float, dt: float, steps: int, 
     return np.linalg.norm(pos, axis=1)
 
 
-def h3_walk_scalar(kappa: float, r0: float, dt: float, steps: int, rng) -> np.ndarray:
-    """Geodesic random walk on H^3, one path, one step at a time in floats.
-
-    Same draws and law of cosines as the package's walk, evaluated with
-    `math` functions in a scalar loop instead of numpy over paths.
-    """
-    a = math.sqrt(-kappa)
-    v = math.sqrt(dt) * rng.standard_normal((steps, 3))
-    values = np.empty(steps + 1)
-    values[0] = r = r0
-    for k, (x, y, z) in enumerate(v):
-        ell = math.sqrt(x * x + y * y + z * z)
-        u, w = a * r, a * ell
-        arg = math.cosh(u) * math.cosh(w) + math.sinh(u) * (math.sinh(w) * (x / ell))
-        r = math.acosh(max(arg, 1.0)) / a
-        values[k + 1] = r
-    return values
-
-
 def circle_mean_local_time_quad(d: float, t: float) -> float:
     """Wrapped heat kernel at distance d integrated over [0, t] by quadrature."""
     def kernel(u):

@@ -69,6 +69,14 @@ def test_mc_h3_moment_passes(tmp_path, capsys):
     assert float(rows[0][1]) == pytest.approx(4.0, abs=0.1)
 
 
+@pytest.mark.parametrize("mode", [[], ["--theta", "0.1"]], ids=["moment", "exp_sq"])
+@pytest.mark.parametrize("r0", ["0.7", "2"])
+def test_mc_h3_off_pole_within_bound(r0, mode, capsys):
+    rc = cli.main(["mc", "--scenario", "h3", "--r0", r0, "--t", "1", "--n", "20000", *mode])
+    assert rc == 0
+    assert "PASS" in capsys.readouterr().out
+
+
 def test_mc_exp_square_mode(capsys):
     rc = cli.main(["mc", "--scenario", "h3", "--theta", "0.1", "--t", "1", "--n", "20000"])
     assert rc == 0
@@ -211,5 +219,5 @@ def test_verify_quick_all_pass(capsys):
     rc = cli.main(["verify", "--quick"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert out.count("PASS") == 14
-    assert "14/14 criteria passed" in out
+    assert out.count("PASS") == 15
+    assert "15/15 criteria passed" in out

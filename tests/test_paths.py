@@ -1,12 +1,14 @@
 """The batched path engine: sample_paths rows against one-path sampling,
-the H^3 kernel against a scalar recurrence, block-size independence of
+H^3 rows against the exact law at grid times, block-size independence of
 path_functional, and estimates pinned on the one-path-at-a-time code."""
 import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from tubebound import estimate
+from tubebound.bounds import concentration_bound_optimized, exit_time_bound
 from tubebound.errors import DomainError
 from tubebound.estimate import path_functional, tail_prob
 from tubebound.modelspaces import (
@@ -14,10 +16,11 @@ from tubebound.modelspaces import (
     EuclideanAffine,
     HyperbolicH3Point,
     SphereInEuclidean,
+    lyapunov_params,
 )
 from tubebound.simulate import _h3_walk, sample_path, sample_paths, stream
 
-from oracles import gaussian_distance_path, h3_walk_scalar
+from oracles import gaussian_distance_path, h3_radial_density
 
 # (scenario, kind, dimension, r0) for the one-path reference
 EXACT_SCENARIOS = [
@@ -42,16 +45,21 @@ def test_rows_bit_identical_to_one_path_sampling(s, kind, d, r0, monkeypatch):
     assert np.array_equal(sample_paths(s, dt, T, seed, 60, 7), rows[60:67])
 
 
-def test_h3_rows_match_scalar_recurrence():
-    # numpy's and libm's cosh/sinh/arccosh differ in the last bit, and
-    # arccosh near 1 turns one ulp of its argument into ~2e-12 relative
-    # error in a distance of 0.01, hence the absolute floor
-    for kappa, r0 in ((-1.0, 0.0), (-2.0, 0.5)):
-        rows = sample_paths(HyperbolicH3Point(kappa=kappa, r0=r0), 1e-3, 0.5, 11, 3, 40)
-        want = np.array([h3_walk_scalar(kappa, r0, 1e-3, 500, stream(11, 3 + j)) for j in range(40)])
-        np.testing.assert_allclose(rows, want, rtol=1e-12, atol=1e-12)
-    one = _h3_walk(-1.0, 0.0, 1e-3, 500, [stream(11, 3)])[0]
-    assert np.array_equal(one, sample_paths(HyperbolicH3Point(), 1e-3, 0.5, 11, 3, 1)[0])
+def test_h3_rows_exact_cosh_identity_at_grid_times():
+    # Lap cosh(a r) = 3 a^2 cosh(a r) on H^3 of curvature -a^2, so
+    # E cosh(a r_t) = cosh(a r0) e^{3 a^2 t / 2} at every grid time
+    dt, T, n = 0.01, 0.5, 4000
+    for kappa in (-1.0, -2.0):
+        a = math.sqrt(-kappa)
+        for r0 in (0.0, 0.7, 2.0):
+            rows = sample_paths(HyperbolicH3Point(kappa=kappa, r0=r0), dt, T, 11, 3, n)
+            for k in (1, 25, 50):
+                x = np.cosh(a * rows[:, k])
+                want = math.cosh(a * r0) * math.exp(1.5 * a * a * k * dt)
+                assert abs(x.mean() - want) <= 3.0 * x.std(ddof=1) / math.sqrt(n), (kappa, r0, k)
+    # per-row streams: a row of a block is the same bits as that path alone
+    one = _h3_walk(-1.0, 0.7, 1e-3, 500, [stream(11, 3)])[0]
+    assert np.array_equal(one, sample_paths(HyperbolicH3Point(r0=0.7), 1e-3, 0.5, 11, 0, 8)[3])
 
 
 def test_path_functional_independent_of_block_size(monkeypatch):
@@ -82,11 +90,18 @@ def test_path_functional_validates_inputs():
 
 
 def test_sup_tails_pinned_on_one_path_code():
-    # values of the one-path-at-a-time implementation, same seeds
+    # the flat value of the one-path-at-a-time implementation, same seed
     flat = tail_prob(EuclideanAffine(m=1, n=0), 2.0, 1.0, True, 4000, 1e-3, seed=5)
     assert flat.mean == 0.0865
-    h3 = tail_prob(HyperbolicH3Point(kappa=-1.0), 3.0, 1.0, True, 400, 1e-3, seed=5)
-    assert h3.mean == 0.1275
+    # on H^3 the grid includes t, so the sup tail is at least the exact
+    # endpoint tail, and at most the exit-time bound
+    s, r, t = HyperbolicH3Point(kappa=-1.0), 3.0, 1.0
+    h3 = tail_prob(s, r, t, True, 4000, 1e-3, seed=5)
+    endpoint = integrate.quad(h3_radial_density, r, 80.0 * math.sqrt(t) + 80.0, args=(s.kappa, t))[0]
+    lp = lyapunov_params(s)
+    bound = exit_time_bound(lp, 0.0, t, r, concentration_bound_optimized(lp, 0.0, t, r).delta)
+    assert h3.mean + 3.0 * h3.stderr >= endpoint
+    assert h3.mean - 3.0 * h3.stderr <= bound
 
 
 @pytest.mark.parametrize("k", [0, 1, 7, 12345, 2**40])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from tubebound.errors import DomainError, SamplerError
+from tubebound.errors import DomainError
 from tubebound.estimate import path_functional
 from tubebound.modelspaces import (
     CirclePoint,
@@ -74,9 +74,13 @@ def test_sphere_endpoint_moment():
     assert abs(mean - want) <= 3.0 * stderr
 
 
-def test_h3_endpoint_needs_pole_start():
-    with pytest.raises(SamplerError):
-        sample_distances(HyperbolicH3Point(kappa=-1.0, r0=1.0), 1.0, stream(1), 1)
+def test_h3_off_pole_endpoint_cosh_identity():
+    # Lap cosh(a r) = 3 a^2 cosh(a r), so E cosh(a r_t) = cosh(a r0) e^{3 a^2 t / 2}
+    for kappa, r0 in ((-1.0, 0.7), (-1.0, 2.0), (-2.0, 1.0)):
+        a = math.sqrt(-kappa)
+        draws = sample_distances(HyperbolicH3Point(kappa=kappa, r0=r0), 1.0, stream(106), 100_000)
+        mean, stderr = _mean_with_stderr(np.cosh(a * draws))
+        assert abs(mean - math.cosh(a * r0) * math.exp(1.5 * a * a)) <= 3.0 * stderr
 
 
 @pytest.mark.parametrize(
@@ -115,8 +119,8 @@ def test_path_determinism_bit_identical():
 
 @pytest.mark.parametrize(
     "scenario",
-    [EuclideanAffine(m=2, n=0, r0=0.5), SphereInEuclidean(m=2, radius=1.0)],
-    ids=["flat", "sphere"],
+    [EuclideanAffine(m=2, n=0, r0=0.5), SphereInEuclidean(m=2, radius=1.0), HyperbolicH3Point(r0=0.7)],
+    ids=["flat", "sphere", "h3"],
 )
 def test_endpoint_and_path_laws_agree_kolmogorov_smirnov(scenario):
     n = 10_000
@@ -142,13 +146,13 @@ def test_flat_exit_time_optional_stopping():
 
 
 def test_h3_walk_cross_checks_exact_endpoint_law():
-    # weak order one: generous tolerance against the exact second moment
+    # paths are exact at grid times: the exact second moment at 3 sigma
     s = HyperbolicH3Point(kappa=-1.0)
     n, dt, t = 1500, 2e-3, 1.0
     finals = sample_paths(s, dt, t, 404, 0, n)[:, -1]
     mean, stderr = _mean_with_stderr(finals**2)
     want = exact_moment(s, 1, t)
-    assert abs(mean - want) <= 4.0 * stderr + 0.02 * want
+    assert abs(mean - want) <= 3.0 * stderr
 
 
 def test_path_rejects_bad_grid():
