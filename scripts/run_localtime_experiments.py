@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Occupation-time local-time experiments: circle cut locus at t = 20 and
+"""Local-time experiments (Brownian-bridge estimator): circle cut locus at t = 20 and
 the sphere shell in the plane at t = 1, each against its closed form.
 
 Extra flags are passed through to `tubebound localtime`.

@@ -27,11 +27,11 @@ from .bounds import (
 )
 from .errors import DomainError
 from .estimate import (
+    bridge_local_time,
     estimates_to_csv,
     mc_exp_moment,
     mc_moment,
     mc_path_mean,
-    occupation_extrapolated,
     tail_prob,
 )
 from .modelspaces import (
@@ -271,11 +271,11 @@ def _cmd_localtime(args: argparse.Namespace) -> int:
         t = 20.0 if args.t is None else args.t
         # the cut locus of the start is the antipode, at distance pi
         truth = revuz_mean_local_time(CirclePoint(r0=math.pi), t)
-        jobs.append(("circle_cut_locus", CirclePoint(r0=0.0), "cut_locus", t, truth, 0.05))
+        jobs.append(("circle_cut_locus", CirclePoint(r0=0.0), lambda v: math.pi - v, t, truth, 0.05))
     if args.scenario in (None, "sphere"):
         t = 1.0 if args.t is None else args.t
         s = _build_scenario(args, "sphere")
-        jobs.append(("sphere_shell", s, "submanifold", t, revuz_mean_local_time(s, t), 0.10))
+        jobs.append(("sphere_shell", s, lambda v: v, t, revuz_mean_local_time(s, t), 0.10))
     if args.scenario == "flat" or args.scenario == "h3":
         print(f"localtime supports circle and sphere scenarios, not {args.scenario}", file=sys.stderr)
         return 2
@@ -285,11 +285,8 @@ def _cmd_localtime(args: argparse.Namespace) -> int:
         out.mkdir(parents=True, exist_ok=True)
     rows = []
     status = 0
-    for name, s, target, t, truth, tol in jobs:
-        est = mc_path_mean(
-            s, args.dt, t, args.n, args.seed,
-            lambda v: occupation_extrapolated(v, s, target, args.dt, args.eps),
-        )
+    for name, s, distance, t, truth, tol in jobs:
+        est = mc_path_mean(s, args.dt, t, args.n, args.seed, lambda v: bridge_local_time(distance(v), args.dt))
         if args.dump_paths and out:
             with open(out / f"localtime_{name}_path0.bin", "wb") as fh:
                 write_path_dump(sample_path(s, args.dt, t, args.seed), fh)
@@ -345,12 +342,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--config", default=None)
     p_mc.set_defaults(fn=_cmd_mc)
 
-    p_lt = sub.add_parser("localtime", help="occupation-time local-time experiments")
+    p_lt = sub.add_parser("localtime", help="local-time experiments (Brownian-bridge estimator)")
     _add_scenario_flags(p_lt)
     p_lt.add_argument("--t", type=float, default=None)
     p_lt.add_argument("--n", type=int, default=10_000)
-    p_lt.add_argument("--dt", type=float, default=1e-4)
-    p_lt.add_argument("--eps", type=float, default=0.05)
+    p_lt.add_argument("--dt", type=float, default=1e-2)
     p_lt.add_argument("--seed", type=int, default=_default_seed())
     p_lt.add_argument("--out", default=None)
     p_lt.add_argument("--dump-paths", action="store_true")

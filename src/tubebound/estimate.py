@@ -1,5 +1,5 @@
-"""Monte Carlo functionals: moments, exponential moments, tail frequencies
-and occupation-time local-time estimators.
+"""Monte Carlo functionals: moments, exponential moments, tail probabilities
+and local times, the path ones conditioned on the bridge between grid points.
 
 Draw-based estimators split n over `partitions` independent streams and
 reduce partial sums in fixed order, so results are bit-reproducible for a
@@ -134,40 +134,48 @@ def mc_path_mean(s: Scenario, dt: float, T: float, n: int, seed: int, fn: PathFn
     return MCEstimate(float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n)), n, seed)
 
 
-def occupation(values: np.ndarray, s: Scenario, target: str, dt: float, eps: float) -> np.ndarray:
-    """(1/2 eps) * time within eps of the target set, for each path along
-    the last axis of `values` (grid step dt). target is "submanifold"
-    (distance = path values) or "cut_locus" (circle only; distance to the
-    antipode is pi - r). eps above 2 sqrt(dt) keeps the band resolved.
-    """
-    if eps <= 0.0:
-        raise DomainError(f"eps must be positive, got {eps}")
-    band = _target_distance(values, s, target)[..., :-1] < eps
-    # int32 sums: half the cost of count_nonzero(axis=-1), which sums int64
-    return dt * np.add.reduce(band, axis=-1, dtype=np.int32) / (2.0 * eps)
+def bridge_local_time(dist: np.ndarray, dt: float) -> np.ndarray:
+    """Local time at 0 of each row of a (rows, steps + 1) block of distances to
+    a target, given the grid: the sum over steps x -> y of the folded bridge's
+    sqrt(2 pi dt) erfcx((x + y) / sqrt(2 dt)) e / (1 + e), e = exp(-2 x y / dt).
+    Exact for reflected Brownian motion; a drift varying near the target biases it."""
+    from scipy.special import erfcx  # here, so that `import tubebound` loads no scipy
+
+    c, w = math.sqrt(2.0 * math.pi * dt), math.sqrt(2.0 * dt)
+    return _bridge_sum(dist, dt, lambda x, y, e: c * erfcx((x + y) / w) * e / (1.0 + e))
 
 
-def occupation_extrapolated(
-    values: np.ndarray, s: Scenario, target: str, dt: float, eps: float
-) -> np.ndarray:
-    """Richardson combination 2 L(eps/2) - L(eps), removing the O(eps) bias."""
-    d = _target_distance(values, s, target)  # once for both bands; a distance is its own target
-    return 2.0 * occupation(d, s, "submanifold", dt, eps / 2.0) - occupation(d, s, "submanifold", dt, eps)
+def _bridge_crossing(values: np.ndarray, r: float, dt: float) -> np.ndarray:
+    """Each row's probability that its bridge reaches r, 1 - prod (1 - e) over steps
+    x -> y, e = exp(-2 (r - x)(r - y) / dt) (Gobet 2000); a grid hit has e = 1."""
+    with np.errstate(divide="ignore"):
+        return -np.expm1(_bridge_sum(np.maximum(r - values, 0.0), dt, lambda x, y, e: np.log1p(-e)))
+
+
+def _bridge_sum(gap: np.ndarray, dt: float, term) -> np.ndarray:
+    # per row of a block of gaps >= 0, the sum of term(x, y, exp(-2 x y / dt))
+    # over the steps x -> y with 2 x y / dt < 40: a term dropped is below e^-40
+    idx = np.flatnonzero(gap[:, :-1] * gap[:, 1:] < 20.0 * dt)
+    rows = idx // (gap.shape[1] - 1)
+    x, y = gap.ravel()[idx + rows], gap.ravel()[idx + rows + 1]
+    return np.bincount(rows, weights=term(x, y, np.exp(-2.0 * x * y / dt)), minlength=len(gap))
 
 
 def occupation_local_time_extrapolated(path: PathSample, target: str, eps: float) -> float:
-    """occupation_extrapolated() of one path."""
-    return float(occupation_extrapolated(path.values, path.scenario, target, path.dt, eps))
-
-
-def _target_distance(values: np.ndarray, s: Scenario, target: str) -> np.ndarray:
-    if target == "submanifold":
-        return np.asarray(values)
-    if target == "cut_locus":
-        if not isinstance(s, CirclePoint):
-            raise DomainError("cut_locus occupation is defined only for the circle scenario")
-        return math.pi - np.asarray(values)
-    raise DomainError(f"target must be submanifold or cut_locus, got {target!r}")
+    """Richardson combination 2 L(eps/2) - L(eps) of L(eps) = (1/2 eps) * time
+    within eps of the target, "submanifold" (the path values) or, on the
+    circle, "cut_locus" (pi - r), on one path. Kept only, bit for bit, for
+    the benchmark's verify-quick circle slice; ROADMAP item 1 removes it."""
+    if eps <= 0.0:
+        raise DomainError(f"eps must be positive, got {eps}")
+    circle = isinstance(path.scenario, CirclePoint)
+    if target not in ("submanifold", "cut_locus") or (target == "cut_locus" and not circle):
+        raise DomainError(f"target must be submanifold, or cut_locus on the circle; got {target!r}")
+    d = np.asarray(path.values)
+    d = math.pi - d if target == "cut_locus" else d
+    half = path.dt * np.add.reduce(d[:-1] < eps / 2.0, dtype=np.int32) / eps
+    full = path.dt * np.add.reduce(d[:-1] < eps, dtype=np.int32) / (2.0 * eps)
+    return float(2.0 * half - full)
 
 
 def tail_prob(
@@ -180,25 +188,25 @@ def tail_prob(
     seed: int,
     partitions: int = 1,
 ) -> MCEstimate:
-    """Empirical frequency of r_N(X_t) >= r, or of sup_{s<=t} r_N >= r.
+    """Probability of r_N(X_t) >= r, or of sup_{s<=t} r_N >= r.
 
-    Point mode uses exact endpoint draws; sup mode walks paths at step dt.
-    The standard error is the Wilson half-width when the frequency is
-    below 0.05, avoiding zero-stderr artifacts at rare events.
+    Point mode counts exact endpoint draws, with the Wilson half-width as
+    standard error below 0.05 (no zero-stderr artifacts at rare events).
+    Sup mode averages over paths at step dt each one's bridge-crossing
+    probability given its grid (no grid-monitoring bias), unpartitioned.
     """
     if r <= 0.0:
         raise DomainError(f"r must be positive, got {r}")
     if sup_mode:
         if dt is None:
             raise DomainError("sup mode needs a path step dt")
-        sup = path_functional(s, dt, t, n, seed, lambda v: np.max(v, axis=-1))
-        phat = int(np.count_nonzero(sup >= r)) / n
-    else:
-        hits = 0
-        for i, size in enumerate(_partition_sizes(n, partitions)):
-            draws = sample_distances(s, t, stream(seed, i), size)
-            hits += int(np.count_nonzero(draws >= r))
-        phat = hits / n
+        est = mc_path_mean(s, dt, t, n, seed, lambda v: _bridge_crossing(v, r, dt))
+        return MCEstimate(est.mean, est.stderr, n, seed, partitions)
+    hits = 0
+    for i, size in enumerate(_partition_sizes(n, partitions)):
+        draws = sample_distances(s, t, stream(seed, i), size)
+        hits += int(np.count_nonzero(draws >= r))
+    phat = hits / n
     return MCEstimate(
         mean=phat, stderr=_binomial_stderr(phat, n), n=n, seed=seed, partitions=partitions
     )

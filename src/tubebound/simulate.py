@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Callable
+from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 
@@ -131,30 +131,41 @@ def sample_paths(s: Scenario, dt: float, T: float, seed: int, start: int, count:
     steps = grid_steps(dt, T)
     if count < 1:
         raise DomainError(f"count must be positive, got {count}")
-    rngs = [stream(seed, start + j) for j in range(count)]
+    if not 0 <= start <= 2**63 - count:
+        raise DomainError(f"stream indices must lie in [0, 2**63), got {start}..{start + count - 1}")
+    rows = (seed, range(start, start + count))
     if isinstance(s, HyperbolicH3Point):
-        return _h3_walk(s.kappa, s.r0, dt, steps, rngs)
-    return _gaussian_distance(s, lambda d: _gaussian_paths(rngs, steps, d, dt))
+        return _h3_walk(s.kappa, s.r0, dt, steps, rows)
+    return _gaussian_distance(s, lambda d: _gaussian_paths(rows, steps, d, dt))
 
 
-def _h3_walk(kappa: float, r0: float, dt: float, steps: int, rngs: list) -> np.ndarray:
-    """sample_paths on H^3 from distance r0, one row per generator (the
-    benchmark times H^3 paths under this name)."""
+def _h3_walk(kappa: float, r0: float, dt: float, steps: int, rows: tuple[int, Sequence[int]]) -> np.ndarray:
+    """sample_paths on H^3 from r0, rows = (seed, stream indices); the benchmark times this name."""
+    starts = np.empty((len(rows[1]), 1, 2))
     return _gaussian_distance(
         HyperbolicH3Point(kappa=kappa, r0=r0),
-        lambda d: _gaussian_paths(rngs, steps, d, dt),
+        lambda d: _gaussian_paths(rows, steps, d, dt, starts[:, 0] if r0 > 0.0 else None),
         dt * np.arange(steps + 1),
-        lambda: np.array([g.random(2) for g in rngs])[:, None],
+        lambda: starts,
     )
 
 
-def _gaussian_paths(rngs: list[np.random.Generator], steps: int, d: int, dt: float) -> np.ndarray:
-    # Brownian positions from 0, shape (paths, steps + 1, d); each row is
-    # drawn in place, in the order standard_normal((steps, d)) would use
-    pos = np.empty((len(rngs), steps + 1, d))
+def _gaussian_paths(rows: tuple[int, Sequence[int]], steps: int, d: int, dt: float, starts=None) -> np.ndarray:
+    # Brownian positions from 0, shape (paths, steps + 1, d); row j is drawn in
+    # place from stream(seed, ks[j]), as standard_normal((steps, d)) would, then
+    # its start uniforms into starts[j]. Re-keying one Philox (counter [0, 0, k,
+    # 0], empty buffer) gives stream()'s bits without its fresh SeedSequence.
+    seed, ks = rows
+    bits = np.random.Philox(key=np.uint64(seed))
+    fresh, rng = bits.state, np.random.Generator(bits)
+    pos = np.empty((len(ks), steps + 1, d))
     pos[:, 0] = 0.0
-    for row, rng in zip(pos, rngs):
-        rng.standard_normal(out=row[1:])
+    for j, k in enumerate(ks):
+        fresh["state"]["counter"][2] = k
+        bits.state = fresh
+        rng.standard_normal(out=pos[j, 1:])
+        if starts is not None:
+            rng.random(out=starts[j])
     pos *= math.sqrt(dt)
     return np.cumsum(pos, axis=1, out=pos)
 

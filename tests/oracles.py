@@ -152,6 +152,23 @@ def sup_tail_reflection(r: float, t: float) -> float:
     return 4.0 * float(stats.norm.sf(r / math.sqrt(t)))
 
 
+def exit_tail_exact(m_minus_n: int, r: float, t: float) -> float:
+    """P{sup_{s<=t} |B_s| >= r} for Brownian motion in R^(m-n) from the
+    origin, m - n in {1, 3}, by the eigenfunction series of the exit time
+    from the ball of radius r:
+    1 - (4/pi) sum_k (-1)^k / (2k+1) e^{-(2k+1)^2 pi^2 t / 8r^2} (m - n = 1),
+    1 - 2 sum_{k>=1} (-1)^{k+1} e^{-k^2 pi^2 t / 2r^2} (m - n = 3)."""
+    c = math.pi**2 * t / (r * r)
+    ks = range(int(12.0 / math.sqrt(c)) + 2)  # the last exponent is below -70
+    if m_minus_n == 1:
+        return 1.0 - 4.0 / math.pi * sum(
+            (-1) ** k / (2 * k + 1) * math.exp(-((2 * k + 1) ** 2) * c / 8.0) for k in ks
+        )
+    if m_minus_n == 3:
+        return 1.0 - 2.0 * sum((-1) ** (k + 1) * math.exp(-k * k * c / 2.0) for k in ks[1:])
+    raise ValueError(f"exit_tail_exact has m - n in {{1, 3}}, got {m_minus_n}")
+
+
 def cameron_martin_quadratic(theta: float, t: float) -> float:
     """E exp((theta/2) int_0^t B_s^2 ds) = cos(sqrt(theta) t)^(-1/2)."""
     return math.cos(math.sqrt(theta) * t) ** -0.5

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 from scipy import special as sps
 
 from tubebound.bounds import (
@@ -40,6 +41,7 @@ from tubebound.specfun import _large_z_sum
 from oracles import (
     cameron_martin_quadratic,
     chi_tail,
+    exit_tail_exact,
     flat_mgf_mpmath,
     flat_radial_moment,
     kummer_m1_mpmath,
@@ -451,6 +453,29 @@ def test_exit_time_dominates_reflection_tail():
     p = LyapunovParams(nu=1.0, lam=0.0)
     opt = concentration_bound_optimized(p, 0.0, 1.0, 5.0)
     assert exit_time_bound(p, 0.0, 1.0, 5.0, opt.delta) >= sup_tail_reflection(5.0, 1.0)
+
+
+def test_exit_time_dominates_exact_exit_tail():
+    # flat m - n = 1 at r = 2 and m - n = 3 at r = 3, t = 1
+    for nu, r, exact in ((1, 2.0, 0.09100052), (3, 3.0, 0.05318218)):
+        assert exit_tail_exact(nu, r, 1.0) == pytest.approx(exact, abs=1e-8)
+        p = LyapunovParams(nu=float(nu), lam=0.0)
+        bound = exit_time_bound(p, 0.0, 1.0, r, concentration_bound_optimized(p, 0.0, 1.0, r).delta)
+        assert bound >= exit_tail_exact(nu, r, 1.0)
+    # the m - n = 1 series against the image sum over reflections at +-r
+    for r, t in ((2.0, 1.0), (1.0, 0.3), (0.5, 2.0)):
+        x = r / math.sqrt(t)
+        inside = sum((-1) ** k * (sps.ndtr((2 * k + 1) * x) - sps.ndtr((2 * k - 1) * x)) for k in range(-40, 41))
+        assert exit_tail_exact(1, r, t) == pytest.approx(1.0 - inside, abs=1e-13)
+    # the m - n = 3 series against the Laplace transform of the BES(3)
+    # hitting time, E e^{-lam T_r} = x / sinh(x) with x = r sqrt(2 lam)
+    for r, lam in ((3.0, 0.5), (3.0, 2.0), (1.0, 1.0)):
+        def density(t):
+            return lam * math.exp(-lam * t) * exit_tail_exact(3, r, t)
+
+        got = integrate.quad(density, 0.0, math.inf, limit=200)[0]
+        x = r * math.sqrt(2.0 * lam)
+        assert got == pytest.approx(x / math.sinh(x), rel=1e-9)
 
 
 def test_exit_time_requires_nonnegative_lambda():

@@ -178,6 +178,14 @@ def test_config_unknown_key_is_error(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_localtime_eps_config_key_is_error(tmp_path, capsys):
+    # the band width of the retired occupation estimator is no longer a key
+    cfg = tmp_path / "lt.cfg"
+    cfg.write_text("eps=0.05\n")
+    assert cli.main(["localtime", "--config", str(cfg), "--scenario", "sphere", "--n", "20"]) == 2
+    assert "unknown config key 'eps'" in capsys.readouterr().err
+
+
 def test_config_bad_value_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     for text in ("m=abc\n", "scenario=torus\n"):

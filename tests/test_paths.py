@@ -1,6 +1,6 @@
 """The batched path engine: sample_paths rows against one-path sampling,
 H^3 rows against the exact law at grid times, block-size independence of
-path_functional, and estimates pinned on the one-path-at-a-time code."""
+path_functional, and sup-mode tails against the exact exit-time series."""
 import math
 
 import numpy as np
@@ -20,7 +20,7 @@ from tubebound.modelspaces import (
 )
 from tubebound.simulate import _h3_walk, sample_path, sample_paths, stream
 
-from oracles import gaussian_distance_path, h3_radial_density
+from oracles import exit_tail_exact, gaussian_distance_path, h3_radial_density
 
 # (scenario, kind, dimension, r0) for the one-path reference
 EXACT_SCENARIOS = [
@@ -58,7 +58,7 @@ def test_h3_rows_exact_cosh_identity_at_grid_times():
                 want = math.cosh(a * r0) * math.exp(1.5 * a * a * k * dt)
                 assert abs(x.mean() - want) <= 3.0 * x.std(ddof=1) / math.sqrt(n), (kappa, r0, k)
     # per-row streams: a row of a block is the same bits as that path alone
-    one = _h3_walk(-1.0, 0.7, 1e-3, 500, [stream(11, 3)])[0]
+    one = _h3_walk(-1.0, 0.7, 1e-3, 500, (11, [3]))[0]
     assert np.array_equal(one, sample_paths(HyperbolicH3Point(r0=0.7), 1e-3, 0.5, 11, 0, 8)[3])
 
 
@@ -87,12 +87,17 @@ def test_path_functional_validates_inputs():
         path_functional(CirclePoint(), 0.0, 1.0, 10, 1, lambda v: v[:, -1])
     with pytest.raises(DomainError):
         sample_paths(CirclePoint(), 0.01, 1.0, 1, 0, 0)
+    for start, count in ((-1, 1), (2**63 - 1, 2)):  # stream indices as for stream()
+        with pytest.raises(DomainError):
+            sample_paths(CirclePoint(), 0.01, 1.0, 1, start, count)
 
 
 def test_sup_tails_pinned_on_one_path_code():
-    # the flat value of the one-path-at-a-time implementation, same seed
-    flat = tail_prob(EuclideanAffine(m=1, n=0), 2.0, 1.0, True, 4000, 1e-3, seed=5)
-    assert flat.mean == 0.0865
+    # flat |B| in R^1 at r = 2 and BES(3) at r = 3 against the exact exit-time
+    # series; the bridge crossing removes the grid's downward bias
+    for m, r in ((1, 2.0), (3, 3.0)):
+        est = tail_prob(EuclideanAffine(m=m, n=0), r, 1.0, True, 4000, 1e-3, seed=5)
+        assert abs(est.mean - exit_tail_exact(m, r, 1.0)) <= 3.0 * est.stderr, m
     # on H^3 the grid includes t, so the sup tail is at least the exact
     # endpoint tail, and at most the exit-time bound
     s, r, t = HyperbolicH3Point(kappa=-1.0), 3.0, 1.0
@@ -120,11 +125,10 @@ def test_occupation_rows_match_per_path_counts():
     s = CirclePoint(r0=0.0)
     dt, eps = 1e-3, 0.05
     rows = sample_paths(s, dt, 5.0, 4, 0, 6)
-    got = estimate.occupation_extrapolated(rows, s, "cut_locus", dt, eps)
     for j, values in enumerate(rows):
         dist = math.pi - values[:-1]
         half = dt * np.count_nonzero(dist < eps / 2.0) / (2.0 * (eps / 2.0))
         full = dt * np.count_nonzero(dist < eps) / (2.0 * eps)
-        assert got[j] == 2.0 * half - full
         path = sample_path(s, dt, 5.0, 4, index=j)
-        assert got[j] == estimate.occupation_local_time_extrapolated(path, "cut_locus", eps)
+        assert np.array_equal(path.values, values)
+        assert estimate.occupation_local_time_extrapolated(path, "cut_locus", eps) == 2.0 * half - full
