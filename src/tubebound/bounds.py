@@ -1,7 +1,9 @@
 """Right-hand sides of the moment and concentration inequalities.
 
 Every function takes the Lyapunov pair (nu, lam) plus the remaining scalar
-parameters and returns the bound value. Domains are enforced exactly;
+parameters and returns the bound value from its closed form; the
+minimising delta of the concentration bound and the explosion time are
+solved exactly too, not searched for. Domains are enforced exactly;
 values near an explosion are saturated at 1e300 instead of overflowing, so
 curves stay plottable.
 """
@@ -27,58 +29,57 @@ def _exp_sat(logv: float) -> float:
 
 
 def radial_R(lam: float, t: float) -> float:
-    """R(t) = (1 - e^(-lam t)) / lam, with R(0, t) = t exactly.
+    """R(t) = (1 - e^(-lam t)) / lam, with R(0, t) = t exactly; saturated at 1e300.
 
-    A short series replaces the quotient for |lam t| < 1e-6 so the
-    cancellation in the numerator cannot surface.
+    R(-lam, t) = R(t) e^(lam t) is the growth factor of every bound. A short
+    series replaces the quotient for |lam t| < 1e-6 so the cancellation in
+    the numerator cannot surface. A caller divides by a saturated R, which
+    makes its bound larger, or multiplies by it only to saturate too or to
+    fail its domain check.
     """
-    if t < 0.0:
-        raise DomainError(f"t must be non-negative, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"t must be finite and non-negative, got {t}")
     x = lam * t
     if abs(x) < 1e-6:
         return t * (1.0 - x / 2.0 + x * x / 6.0)
-    return -math.expm1(-x) / lam
-
-
-def _growth(lam: float, t: float) -> float:
-    # R(t) e^{lam t} = (e^{lam t} - 1)/lam; increasing in t for every lam
-    x = lam * t
-    if abs(x) < 1e-6:
-        return t * (1.0 + x / 2.0 + x * x / 6.0)
-    if x > 690.0:
-        return SATURATION
-    return math.expm1(x) / lam
-
-
-def second_moment_bound(p: LyapunovParams, r0: float, t: float) -> float:
-    """(r0^2 + nu R(t)) e^(lam t), the second radial moment bound."""
-    if t < 0.0:
-        raise DomainError(f"t must be non-negative, got {t}")
-    base = r0 * r0 + p.nu * radial_R(p.lam, t)
-    if base == 0.0:
-        return 0.0
-    return _exp_sat(math.log(base) + p.lam * t)
+    if x < -700.0:  # e^(-x) leaves the floats; R = e^(-x) / -lam to double precision
+        return _exp_sat(-x - math.log(-lam))
+    r = -math.expm1(-x) / lam
+    return r if r < SATURATION else SATURATION
 
 
 def even_moment_bound(p: LyapunovParams, r0: float, t: float, ord: int) -> float:
     """(2 R e^(lam t))^ord ord! L^{nu/2-1}_ord(-r0^2 / 2R), the 2*ord-th moment bound."""
     if ord < 1:
         raise DomainError(f"ord must be a positive integer, got {ord}")
-    if t < 0.0:
-        raise DomainError(f"t must be non-negative, got {t}")
-    if t == 0.0:
-        return r0 ** (2 * ord)
     R = radial_R(p.lam, t)
-    q = 2.0 * _growth(p.lam, t)
-    lag = laguerre(ord, p.nu / 2.0 - 1.0, -r0 * r0 / (2.0 * R))
+    y = r0 * r0 / (2.0 * R) if R > 0.0 else math.inf
+    if y == math.inf:  # t = 0, or R < r0^2 / 1e308: the bound is r0^(2 ord) to double precision
+        return r0 ** (2 * ord)
+    q = 2.0 * radial_R(-p.lam, t)
+    lag = laguerre(ord, p.nu / 2.0 - 1.0, -y)
     logv = ord * math.log(q) + math.lgamma(ord + 1) + math.log(lag)
-    if logv < 690.0:
-        return q**ord * math.factorial(ord) * lag
-    return _exp_sat(logv)
+    if logv >= _LOG_SAT:
+        return SATURATION
+    return q**ord * math.factorial(ord) * lag
+
+
+def second_moment_bound(p: LyapunovParams, r0: float, t: float) -> float:
+    """(r0^2 + nu R(t)) e^(lam t), the second radial moment bound: even_moment_bound at ord 1."""
+    return even_moment_bound(p, r0, t, 1)
 
 
 def _bold_r(p: LyapunovParams, r0: float, t: float, theta: float) -> float:
-    return 12.0 * theta * theta * (r0 * r0 + 2.0 * radial_R(p.lam, t)) * math.exp(p.lam * t)
+    # B = 12 theta^2 (r0^2 e^(lam t) + 2 R(-lam, t)), saturated at 1e300. Past
+    # lam t = 600 it is summed in logs from (r0^2 + 2 R(t)) e^(lam t), so neither a
+    # saturated growth nor an underflowing theta^2 can pull it below its true value.
+    x = p.lam * t
+    if x > 600.0:
+        if theta == 0.0:
+            return 0.0
+        return _exp_sat(math.log(12.0 * (r0 * r0 + 2.0 * radial_R(p.lam, t))) + 2.0 * math.log(theta) + x)
+    B = 12.0 * theta * theta * (r0 * r0 * math.exp(x) + 2.0 * radial_R(-p.lam, t))
+    return B if B < SATURATION else SATURATION
 
 
 def exp_dist_bound(p: LyapunovParams, r0: float, t: float, theta: float) -> float:
@@ -90,8 +91,8 @@ def exp_dist_bound(p: LyapunovParams, r0: float, t: float, theta: float) -> floa
     """
     if p.nu < 2.0:
         raise DomainError(f"exp_dist_bound requires nu >= 2, got nu={p.nu}")
-    if t < 0.0 or theta < 0.0:
-        raise DomainError(f"need t, theta >= 0, got t={t}, theta={theta}")
+    if not (t >= 0.0 and 0.0 <= theta < math.inf):
+        raise DomainError(f"need t >= 0 and finite theta >= 0, got t={t}, theta={theta}")
     B = _bold_r(p, r0, t, theta)
     if B == 0.0:
         return 1.0
@@ -102,49 +103,46 @@ def exp_dist_bound(p: LyapunovParams, r0: float, t: float, theta: float) -> floa
     return min(1.0 + (1.0 + B**-0.5) * f1m1, SATURATION)
 
 
+def _exp_sq_log(p: LyapunovParams, r0: float, t: float, theta: float, name: str) -> float:
+    # log of (1 - x)^(-nu/2) exp(theta r0^2 e^(lam t) / (2 (1 - x))), x = theta R(-lam, t);
+    # for lam > 0, theta e^(lam t) = theta + lam x, which cannot overflow as x < 1
+    growth = radial_R(-p.lam, t)
+    x = theta * growth
+    if x >= 1.0 or (growth == SATURATION and theta > 0.0):
+        raise DomainError(f"domain requires {name} R(t) e^(lam t) < 1, got {x}")
+    scale = theta * math.exp(p.lam * t) if p.lam <= 0.0 else theta + p.lam * x
+    return -(p.nu / 2.0) * math.log1p(-x) + r0 * r0 * scale / (2.0 * (1.0 - x))
+
+
 def exp_sq_bound(p: LyapunovParams, r0: float, t: float, theta: float) -> float:
-    """Bound on E exp(theta r_N^2(X_t) / 2), valid while theta R(t) e^(lam t) < 1."""
-    if t < 0.0 or theta < 0.0:
-        raise DomainError(f"need t, theta >= 0, got t={t}, theta={theta}")
-    x = theta * _growth(p.lam, t)
-    if x >= 1.0:
-        raise DomainError(f"domain requires theta R(t) e^(lam t) < 1, got {x}")
-    logv = -(p.nu / 2.0) * math.log1p(-x) + theta * r0 * r0 * math.exp(p.lam * t) / (
-        2.0 * (1.0 - x)
-    )
-    return _exp_sat(logv)
+    """Bound on E exp(theta r_N^2(X_t) / 2), valid for theta R(t) e^(lam t) < 1."""
+    if not (t >= 0.0 and 0.0 <= theta < math.inf):
+        raise DomainError(f"need t >= 0 and finite theta >= 0, got t={t}, theta={theta}")
+    return _exp_sat(_exp_sq_log(p, r0, t, theta, "theta"))
 
 
 def explosion_time(p: LyapunovParams, theta: float) -> Optional[float]:
     """First t with theta R(t) e^(lam t) = 1, or None if that never happens.
 
-    The product is strictly increasing in t, so bisection applies; for
-    lam < 0 it is bounded by theta/(-lam), which may stay below 1.
+    theta (e^(lam t) - 1) / lam = 1 solves to t = log1p(lam / theta) / lam,
+    read as 1 / theta at lam = 0; there is no solution when lam <= -theta.
+    Near lam = -theta the logarithm takes theta + lam, which is exact there.
     """
-    if theta <= 0.0:
-        raise DomainError(f"theta must be positive, got {theta}")
-    if p.lam < 0.0 and theta / -p.lam <= 1.0:
+    if not 0.0 < theta < math.inf:
+        raise DomainError(f"theta must be positive and finite, got {theta}")
+    if p.lam <= -theta:
         return None
-    hi = 1.0
-    while theta * _growth(p.lam, hi) < 1.0:
-        hi *= 2.0
-        if hi > 1e290:  # beyond any representable horizon (theta ~ 0)
-            return None
-    lo = 0.0
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if theta * _growth(p.lam, mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    y = p.lam / theta
+    if abs(y) < 1e-8:  # log1p(y) / y by its series, also where lam / theta underflows
+        return (1.0 - y / 2.0 + y * y / 3.0) / theta
+    return (math.log1p(y) if y > -0.5 else math.log((theta + p.lam) / theta)) / p.lam
 
 
 def logsob_time_constant(m: int, C1: float, t: float) -> float:
     """C(t) = (e^((m-1) C1^2 t) - 1) / ((m-1) C1^2), continuous value t at C1 = 0."""
     if m < 1 or C1 < 0.0 or t < 0.0:
         raise DomainError(f"need m >= 1 and C1, t >= 0, got m={m}, C1={C1}, t={t}")
-    return _growth((m - 1) * C1 * C1, t)
+    return radial_R(-(m - 1) * C1 * C1, t)
 
 
 def logsob_bound(
@@ -180,9 +178,16 @@ def logsob_bound(
     return _exp_sat(theta * (base + drift * t / 2.0) ** 2 / (2.0 * (1.0 - x)))
 
 
-def _concentration_log(p: LyapunovParams, r0: float, t: float, r: float, delta: float) -> float:
-    R = radial_R(p.lam, t)
-    growth = _growth(p.lam, t)
+def _concentration_radial(p: LyapunovParams, t: float, r: float) -> tuple[float, float]:
+    # R(t) and R(t) e^(lam t) of the tail bounds, after their domain checks
+    if not t > 0.0:
+        raise DomainError(f"t must be positive, got {t}")
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"r must be positive and finite, got {r}")
+    return radial_R(p.lam, t), radial_R(-p.lam, t)
+
+
+def _concentration_log(p: LyapunovParams, r0: float, r: float, R: float, growth: float, delta: float) -> float:
     return (
         -(p.nu / 2.0) * math.log1p(-delta)
         + r0 * r0 * delta / (2.0 * R * (1.0 - delta))
@@ -190,17 +195,12 @@ def _concentration_log(p: LyapunovParams, r0: float, t: float, r: float, delta: 
     )
 
 
-def concentration_bound(
-    p: LyapunovParams, r0: float, t: float, r: float, delta: float
-) -> float:
+def concentration_bound(p: LyapunovParams, r0: float, t: float, r: float, delta: float) -> float:
     """Tail bound on P{r_N(X_t) >= r} at a chosen delta in [0, 1)."""
-    if not t > 0.0:
-        raise DomainError(f"t must be positive, got {t}")
-    if r <= 0.0:
-        raise DomainError(f"r must be positive, got {r}")
+    R, growth = _concentration_radial(p, t, r)
     if not 0.0 <= delta < 1.0:
         raise DomainError(f"delta must lie in [0, 1), got {delta}")
-    return _exp_sat(_concentration_log(p, r0, t, r, delta))
+    return _exp_sat(_concentration_log(p, r0, r, R, growth, delta))
 
 
 class OptimizedBound(NamedTuple):
@@ -209,55 +209,32 @@ class OptimizedBound(NamedTuple):
     log_value: float
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+def concentration_bound_optimized(p: LyapunovParams, r0: float, t: float, r: float) -> OptimizedBound:
+    """The concentration bound at its exact minimiser over delta in [0, 1 - 1e-12].
 
-
-def concentration_bound_optimized(
-    p: LyapunovParams, r0: float, t: float, r: float
-) -> OptimizedBound:
-    """Minimize the concentration bound over delta by golden-section search.
-
-    The log of the bound is convex in delta (its second derivative is a sum
-    of positive terms), so the search cannot miss the minimum. log_value is
-    reported alongside since the value itself underflows for large r.
+    The log of the bound is convex in delta. With u = 1/(1 - delta),
+    a = r0^2 / R and c = r^2 / (R e^(lam t)), its derivative vanishes where
+    a u^2 + nu u = c; the positive root is u = 2c / (nu + sqrt(nu^2 + 4ac)),
+    and delta = 1 - 1/u is clipped to the interval. log_value is reported
+    alongside since the value itself underflows for large r.
     """
-    if not t > 0.0:
-        raise DomainError(f"t must be positive, got {t}")
-    if r <= 0.0:
-        raise DomainError(f"r must be positive, got {r}")
-    f = lambda d: _concentration_log(p, r0, t, r, d)
-    lo, hi = 0.0, 1.0 - 1e-12
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > 1e-8:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = f(x2)
-    delta = 0.5 * (lo + hi)
-    logv = f(delta)
+    R, growth = _concentration_radial(p, t, r)
+    a, c = r0 * r0 / R, r * r / growth
+    u = 2.0 * c / (p.nu + math.sqrt(p.nu * p.nu + 4.0 * a * c))
+    # u >= 1e12, or NaN where r^2 overflows, puts the minimum at the top of the interval
+    delta = 0.0 if u <= 1.0 else (1.0 - 1.0 / u if u < 1e12 else 1.0 - 1e-12)
+    logv = _concentration_log(p, r0, r, R, growth, delta)
     return OptimizedBound(delta=delta, value=_exp_sat(logv), log_value=logv)
 
 
-def exit_time_bound(
-    p: LyapunovParams, r0: float, t: float, r: float, delta: float
-) -> float:
-    """Bound on P{sup_{s<=t} r_N(X_s) >= r}; stated for lam >= 0 only."""
+def exit_time_bound(p: LyapunovParams, r0: float, t: float, r: float, delta: float) -> float:
+    """Bound on P{sup_{s<=t} r_N(X_s) >= r} at delta in [0, 1); stated for lam >= 0 only."""
     if p.lam < 0.0:
         raise DomainError(f"exit_time_bound requires lam >= 0, got {p.lam}")
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"delta must lie in (0, 1), got {delta}")
     return concentration_bound(p, r0, t, r, delta)
 
 
-def feynman_kac_bound(
-    mode: str, p: LyapunovParams, r0: float, t: float, C: float
-) -> float:
+def feynman_kac_bound(mode: str, p: LyapunovParams, r0: float, t: float, C: float) -> float:
     """Operator-norm bounds for Feynman-Kac semigroups.
 
     mode "linear" covers potentials V <= C (1 + r_N) and needs nu >= 2,
@@ -266,8 +243,8 @@ def feynman_kac_bound(
     """
     if mode not in ("linear", "quadratic"):
         raise DomainError(f"mode must be linear or quadratic, got {mode!r}")
-    if t < 0.0 or C < 0.0:
-        raise DomainError(f"need t, C >= 0, got t={t}, C={C}")
+    if not (t >= 0.0 and 0.0 <= C < math.inf):
+        raise DomainError(f"need t >= 0 and finite C >= 0, got t={t}, C={C}")
     if mode == "linear":
         if p.nu < 2.0 or p.lam < 0.0:
             raise DomainError(
@@ -275,15 +252,7 @@ def feynman_kac_bound(
             )
         inner = exp_dist_bound(p, r0, t, C * t)
         return SATURATION if C * t + math.log(inner) >= _LOG_SAT else math.exp(C * t) * inner
-    x = C * t * _growth(p.lam, t)
-    if x >= 1.0:
-        raise DomainError(f"domain requires C t R(t) e^(lam t) < 1, got {x}")
-    logv = (
-        -(p.nu / 2.0) * math.log1p(-x)
-        + C * t
-        + C * r0 * r0 * t * math.exp(p.lam * t) / (2.0 * (1.0 - x))
-    )
-    return _exp_sat(logv)
+    return _exp_sat(_exp_sq_log(p, r0, t, C * t, "C t") + C * t)
 
 
 # ------------------------------------------------------------------- curves

@@ -94,8 +94,8 @@ class LyapunovParams:
     exact: bool = False
 
     def __post_init__(self):
-        if self.nu < 1.0:
-            raise DomainError(f"nu must be >= 1, got {self.nu}")
+        if not (1.0 <= self.nu < math.inf and math.isfinite(self.lam)):
+            raise DomainError(f"need finite nu >= 1 and finite lam, got nu={self.nu}, lam={self.lam}")
 
 
 def lyapunov_params(s: Scenario) -> LyapunovParams:

@@ -217,3 +217,20 @@ def circle_mean_local_time_quad(d: float, t: float) -> float:
 
     val, _ = integrate.quad(kernel, 0.0, t, limit=400, epsabs=1e-12, epsrel=1e-10)
     return val
+
+
+def second_moment_mpmath(nu: float, lam: float, r0: float, t: float):
+    """(r0^2 + nu R(t)) e^(lam t), R(t) = (1 - e^(-lam t)) / lam, at 40 digits (an mpf)."""
+    import mpmath as mp
+
+    mp.mp.dps = 40
+    lam, t = mp.mpf(lam), mp.mpf(t)
+    R = t if lam == 0 else -mp.expm1(-lam * t) / lam
+    return (mp.mpf(r0) ** 2 + nu * R) * mp.exp(lam * t)
+
+
+def bold_r_mpmath(lam: float, r0: float, t: float, theta: float):
+    """B = 12 theta^2 (r0^2 + 2 R(t)) e^(lam t) of the exponential-distance bound at 40 digits."""
+    import mpmath as mp
+
+    return 12 * second_moment_mpmath(2.0, lam, r0, t) * mp.mpf(theta) ** 2

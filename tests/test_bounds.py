@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, optimize
 from scipy import special as sps
 
 from tubebound.bounds import (
@@ -39,12 +39,14 @@ from tubebound.modelspaces import (
 from tubebound.specfun import _large_z_sum
 
 from oracles import (
+    bold_r_mpmath,
     cameron_martin_quadratic,
     chi_tail,
     exit_tail_exact,
     flat_mgf_mpmath,
     flat_radial_moment,
     kummer_m1_mpmath,
+    second_moment_mpmath,
     sup_tail_reflection,
 )
 
@@ -114,12 +116,11 @@ def test_second_moment_continuity_across_zero_lambda():
     r0=st.floats(0.0, 3.0),
     t=st.one_of(st.just(0.0), st.floats(1e-6, 4.0)),
 )
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)
 def test_even_moment_order_one_reduces_to_second_moment(nu, lam, r0, t):
     p = LyapunovParams(nu=nu, lam=lam)
-    assert even_moment_bound(p, r0, t, 1) == pytest.approx(
-        second_moment_bound(p, r0, t), rel=1e-12, abs=1e-12
-    )
+    want = float(second_moment_mpmath(nu, lam, r0, t))
+    assert even_moment_bound(p, r0, t, 1) == pytest.approx(want, rel=1e-13, abs=1e-300)
 
 
 def test_even_moment_fourth_moment_r3():
@@ -259,6 +260,41 @@ def test_exp_dist_and_linear_feynman_kac_never_below_closed_form(nu, B, r0):
 
 
 @given(
+    nu=st.floats(2.0, 12.0),
+    lam=st.floats(-5.0, 5.0),
+    r0=st.floats(0.0, 3.0),
+    t=st.floats(0.0, 1000.0),
+    theta=st.floats(0.0, 10.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_moments_finite_and_never_below_closed_form_at_overflow_edge(nu, lam, r0, t, theta):
+    # large |lam t| used to overflow e^(lam t) and R(t); the bounds must saturate
+    # at 1e300 only where the closed form does, and never read below it
+    p = LyapunovParams(nu=nu, lam=lam)
+    got = second_moment_bound(p, r0, t)
+    want = second_moment_mpmath(nu, lam, r0, t)
+    assert math.isfinite(got)
+    if want >= SATURATION:
+        assert got == SATURATION
+    else:
+        assert want * (1 - 1e-13) - 1e-300 <= got <= want * (1 + 1e-13) + 1e-300
+    # B is rounded once per unit of its log, so 1e-12 covers |lam t| <= 5000. Where
+    # theta^2 underflows (lam t <= 600, theta < 1.5e-154), B < 1e-40, which moves
+    # the bound by under 1e-19 relative
+    B = _bold_r(p, r0, t, theta)
+    B_exact = bold_r_mpmath(lam, r0, t, theta)
+    assert abs(B - min(B_exact, SATURATION)) <= 1e-12 * B_exact + 1e-40
+    got = exp_dist_bound(p, r0, t, theta)
+    assert math.isfinite(got)
+    # 1F1(nu/2, 1/2, B) >= e^B for nu >= 1: past B = 700 the closed form passes 1e300
+    closed = _exp_dist_closed_form(nu, B) if B < 700.0 else math.inf
+    if closed >= SATURATION:
+        assert got == SATURATION
+    else:
+        assert closed * (1 - 1e-13) <= got <= closed * (1 + 1e-13)
+
+
+@given(
     nu=st.floats(1.0, 6.0),
     lam=st.floats(-1.0, 1.0),
     r0=st.floats(0.0, 2.0),
@@ -308,6 +344,11 @@ def test_exp_sq_domain_boundary():
     with pytest.raises(DomainError) as err:
         exp_sq_bound(p, 0.0, tstar + 1e-6, 1.0 / 6.0)
     assert "1.0" in str(err.value)
+    # a saturated growth R(t) e^(lam t) >= 1e300 is past the boundary for any theta > 0,
+    # and where it is not saturated, e^(lam t) alone may still leave the floats
+    with pytest.raises(DomainError):
+        exp_sq_bound(LyapunovParams(nu=3.0, lam=5.0), 0.0, 200.0, 1e-301)
+    assert exp_sq_bound(LyapunovParams(nu=3.0, lam=1e9), 1.0, 7.1e-7, 1e-300) == SATURATION
 
 
 def test_exp_sq_dominates_h3_exact_on_grid():
@@ -368,6 +409,39 @@ def test_explosion_finite_for_negative_lambda_large_theta():
     assert abs(t - math.log(3.0)) <= 1e-8
 
 
+def _explosion_brentq(lam, theta):
+    # root of theta R(-lam, t) - 1, the growth evaluated at 40 digits so that
+    # the root is resolved to brentq's own tolerance even near lam = -theta
+    import mpmath as mp
+
+    mp.mp.dps = 40
+
+    def g(t):
+        R = mp.mpf(t) if lam == 0.0 else mp.expm1(mp.mpf(lam) * t) / lam
+        return float(theta * R - 1)
+
+    hi = 1.0
+    while g(hi) < 0.0:
+        hi *= 2.0
+    return optimize.brentq(g, 0.0, hi, xtol=1e-300, rtol=1e-15, maxiter=500)
+
+
+@given(lam=st.floats(-3.0, 3.0), theta=st.floats(1e-3, 10.0))
+@settings(max_examples=300, deadline=None)
+def test_explosion_time_matches_brentq(lam, theta):
+    got = explosion_time(LyapunovParams(nu=3.0, lam=lam), theta)
+    if lam <= -theta:
+        assert got is None
+        return
+    assert got == pytest.approx(_explosion_brentq(lam, theta), rel=1e-12)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, 0.0, -1.0])
+def test_explosion_time_rejects_bad_theta(theta):
+    with pytest.raises(DomainError):
+        explosion_time(LyapunovParams(nu=3.0, lam=0.5), theta)
+
+
 # ------------------------------------------------------------- logsob_bound
 
 def test_logsob_quadratic_flat_point():
@@ -414,6 +488,17 @@ def test_concentration_delta_zero_vacuous():
     assert concentration_bound(H3, 1.0, 1.0, 2.0, 0.0) == 1.0
 
 
+def test_concentration_minimiser_at_interval_ends():
+    # nu + r0^2/R >= r^2/(R e^(lam t)): the bound is minimised at delta = 0, value 1
+    p = LyapunovParams(nu=1.0, lam=0.0)
+    opt = concentration_bound_optimized(p, 0.0, 1.0, 0.5)
+    assert opt == (0.0, 1.0, 0.0)
+    assert exit_time_bound(p, 0.0, 1.0, 0.5, opt.delta) == 1.0
+    # r^2 overflows a float: the top of the interval, and a bound of 0
+    opt = concentration_bound_optimized(p, 0.0, 1.0, 1e200)
+    assert opt == (1.0 - 1e-12, 0.0, -math.inf)
+
+
 def test_concentration_asymptotic_rate():
     p = LyapunovParams(nu=3.0, lam=0.0)
     opt = concentration_bound_optimized(p, 0.0, 1.0, 1000.0)
@@ -439,7 +524,31 @@ def test_concentration_optimized_no_worse_than_grid():
         grid_best = min(
             concentration_bound(p, r0, t, r, float(d)) for d in np.linspace(0.0, 0.999999, 500)
         )
-        assert opt.value <= grid_best * (1.0 + 1e-6)
+        assert opt.value <= grid_best * (1.0 + 1e-12)
+
+
+@given(
+    nu=st.floats(1.0, 6.0),
+    lam=st.floats(-1.0, 1.0),
+    r0=st.floats(0.0, 3.0),
+    t=st.floats(0.05, 3.0),
+    r=st.floats(0.1, 10.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_concentration_optimized_no_worse_than_bounded_search(nu, lam, r0, t, r):
+    # the paper's log bound, minimised over [0, 1 - 1e-12] by scipy's bounded Brent search
+    p = LyapunovParams(nu=nu, lam=lam)
+    R, growth = radial_R(lam, t), radial_R(-lam, t)
+
+    def log_bound(d):
+        return -(nu / 2.0) * math.log1p(-d) + r0 * r0 * d / (2.0 * R * (1.0 - d)) - d * r * r / (2.0 * growth)
+
+    res = optimize.minimize_scalar(log_bound, bounds=(0.0, 1.0 - 1e-12), method="bounded",
+                                   options={"xatol": 1e-12})
+    best = min(res.fun, log_bound(0.0))  # the bounded search never evaluates delta = 0 itself
+    opt = concentration_bound_optimized(p, r0, t, r)
+    assert 0.0 <= opt.delta <= 1.0 - 1e-12
+    assert opt.log_value <= best + 1e-12 * abs(best)
 
 
 # ---------------------------------------------------------- exit_time_bound

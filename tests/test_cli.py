@@ -37,6 +37,20 @@ def test_curves_no_explosion_for_positive_ricci(tmp_path):
     assert "exp_sq_R1,never" in (tmp_path / "explosions.csv").read_text()
 
 
+def test_curves_long_horizon_saturates_without_overflow(tmp_path):
+    rc = cli.main(["curves", "--t-max", "3000", "--steps", "50", "--out", str(tmp_path)])
+    assert rc == 0
+    _, rows = _read_csv_rows(tmp_path / "exp_dist_R-1.csv")
+    assert all(math.isfinite(float(r[1])) for r in rows)
+    assert float(rows[-1][1]) == 1e300
+
+
+@pytest.mark.parametrize("flags", [["--R", "nan"], ["--theta", "nan"], ["--theta", "inf"]])
+def test_curves_non_finite_parameter_exits_two(flags, tmp_path, capsys):
+    assert cli.main(["curves", *flags, "--steps", "20", "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_curves_outputs_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -90,6 +104,13 @@ def test_mc_sup_tail_mode(capsys):
     )
     assert rc == 0
     assert "sup_tail" in capsys.readouterr().out
+
+
+def test_mc_sup_tail_below_mean_radius_is_vacuous(capsys):
+    # r^2 / t <= nu: the minimising delta is 0 and the exit-time bound is exactly 1
+    rc = cli.main(["mc", "--r", "0.5", "--dt", "0.01", "--n", "500"])
+    assert rc == 0
+    assert "bound=1 -> PASS" in capsys.readouterr().out
 
 
 def test_mc_csv_byte_identical(tmp_path):

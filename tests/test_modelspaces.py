@@ -10,6 +10,7 @@ from tubebound.modelspaces import (
     CirclePoint,
     EuclideanAffine,
     HyperbolicH3Point,
+    LyapunovParams,
     SphereInEuclidean,
     exact_exp_moment,
     exact_moment,
@@ -53,6 +54,8 @@ def test_scenario_rejects_non_finite_parameters(bad):
         lambda: HyperbolicH3Point(r0=bad),
         lambda: HyperbolicH3Point(kappa=bad),
         lambda: SphereInEuclidean(m=2, radius=bad),
+        lambda: LyapunovParams(nu=bad, lam=0.0),
+        lambda: LyapunovParams(nu=3.0, lam=bad),
     ):
         with pytest.raises(DomainError):
             make()
