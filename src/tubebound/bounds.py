@@ -49,19 +49,29 @@ def radial_R(lam: float, t: float) -> float:
 
 
 def even_moment_bound(p: LyapunovParams, r0: float, t: float, ord: int) -> float:
-    """(2 R e^(lam t))^ord ord! L^{nu/2-1}_ord(-r0^2 / 2R), the 2*ord-th moment bound."""
+    """(2 G)^ord ord! L^{nu/2-1}_ord(-y), G = R e^(lam t), y = r0^2 / 2R: the 2*ord-th moment bound.
+
+    Where a factor of that product leaves the floats (large ord, or y near
+    overflow at tiny t) it is summed in logs as its positive terms
+    binom(ord + a, ord - k) ord!/k! (2G)^(ord-k) (r0^2 e^(lam t))^k, a = nu/2 - 1.
+    """
     if ord < 1:
         raise DomainError(f"ord must be a positive integer, got {ord}")
-    R = radial_R(p.lam, t)
-    y = r0 * r0 / (2.0 * R) if R > 0.0 else math.inf
-    if y == math.inf:  # t = 0, or R < r0^2 / 1e308: the bound is r0^(2 ord) to double precision
-        return r0 ** (2 * ord)
-    q = 2.0 * radial_R(-p.lam, t)
-    lag = laguerre(ord, p.nu / 2.0 - 1.0, -y)
-    logv = ord * math.log(q) + math.lgamma(ord + 1) + math.log(lag)
-    if logv >= _LOG_SAT:
-        return SATURATION
-    return q**ord * math.factorial(ord) * lag
+    a, G, R = p.nu / 2.0 - 1.0, radial_R(-p.lam, t), radial_R(p.lam, t)
+    if G == 0.0:  # t = 0
+        return r0 ** (2 * ord) if r0 == 0.0 or ord * math.log(r0) < _LOG_SAT / 2.0 else SATURATION
+    lg = math.log(2.0 * G)
+    ly = abs(2.0 * math.log(r0) - math.log(2.0 * R)) if r0 > 0.0 else 0.0  # |log y|
+    if math.lgamma(ord + a + 1) + math.lgamma(ord + 1) + ord * (abs(lg) + ly) < 700.0:  # no factor overflows
+        lag = laguerre(ord, a, -r0 * r0 / (2.0 * R))
+        return min((2.0 * G) ** ord * math.factorial(ord) * lag, SATURATION)
+    lr = 2.0 * math.log(r0) + p.lam * t if r0 > 0.0 else -math.inf  # log 2G y = log r0^2 e^(lam t)
+    lf = [math.lgamma(k + 1) for k in range(ord + 1)]  # log k!
+    c = math.lgamma(ord + a + 1) + lf[ord]
+    logs = [c - lf[ord - k] - math.lgamma(k + a + 1) - lf[k] + lg * (ord - k) + (lr * k if k else 0.0)
+            for k in range(ord + 1)]
+    top = max(logs)
+    return _exp_sat(top + math.log(sum(math.exp(x - top) for x in logs)))
 
 
 def second_moment_bound(p: LyapunovParams, r0: float, t: float) -> float:
@@ -167,12 +177,17 @@ def logsob_bound(
         raise DomainError(f"need 0 <= n <= m-1, got m={m}, n={n}")
     if min(C1, Lambda, r0, t, theta) < 0.0:
         raise DomainError("C1, Lambda, r0, t, theta must all be non-negative")
-    Ct = logsob_time_constant(m, C1, t)
+    Ct, k = logsob_time_constant(m, C1, t), (m - 1) * C1 * C1
+    x = theta * Ct
+    quad = theta * x / 2.0  # theta^2 C(t) / 2, where theta * theta could overflow against C(0) = 0
+    if Ct == SATURATION and theta > 0.0 and k > 0.0:  # in logs, or a tiny theta hides the saturation
+        logx = math.log(theta) - math.log(k)
+        logx += k * t if k * t > 700.0 else math.log(math.expm1(k * t))  # + log(k C(t))
+        x, quad = _exp_sat(logx), _exp_sat(logx + math.log(theta) - math.log(2.0))
     drift = n * Lambda + (m - 1) * C1
     base = math.sqrt(r0 * r0 + (m - n) * t)
     if mode == "linear":
-        return _exp_sat(theta * base + drift * theta * t / 2.0 + theta * theta * Ct / 2.0)
-    x = theta * Ct
+        return _exp_sat(theta * base + drift * theta * t / 2.0 + quad)
     if x >= 1.0:
         raise DomainError(f"quadratic mode requires theta C(t) < 1, got {x}")
     return _exp_sat(theta * (base + drift * t / 2.0) ** 2 / (2.0 * (1.0 - x)))

@@ -1,10 +1,12 @@
 """Monte Carlo functionals: moments, exponential moments, tail probabilities
 and local times, the path ones conditioned on the bridge between grid points.
 
-Draw-based estimators split n over `partitions` independent streams and
-reduce partial sums in fixed order, so results are bit-reproducible for a
-given (seed, partitions) and parallelizable across partitions. Path-based
-ones give path k stream k, so batching paths does not change them.
+Draw-based estimators split n over `partitions` independent streams, draw
+each stream in blocks of _DRAW_BLOCK and reduce partial sums in fixed
+order, so results are bit-reproducible for a given (seed, partitions),
+parallelizable across partitions and bounded in memory whatever n.
+Path-based ones give path k stream k, so batching paths does not change
+them.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from .simulate import PathSample, grid_steps, sample_distances, sample_paths, st
 
 _EXP_GUARD = 700.0
 _PATH_BLOCK = 1 << 16  # path values per block, rows x (steps + 1)
+_DRAW_BLOCK = 1 << 15  # endpoint draws per block, a working set that stays in cache
 PathFn = Callable[[np.ndarray], np.ndarray]
 
 
@@ -42,6 +45,14 @@ def _partition_sizes(n: int, partitions: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(partitions)]
 
 
+def _draw_blocks(s: Scenario, t: float, n: int, seed: int, partitions: int) -> Iterable[np.ndarray]:
+    # n exact endpoint draws, partition i from stream(seed, i), _DRAW_BLOCK at a time
+    for i, size in enumerate(_partition_sizes(n, partitions)):
+        rng = stream(seed, i)
+        for done in range(0, size, _DRAW_BLOCK):
+            yield sample_distances(s, t, rng, min(_DRAW_BLOCK, size - done))
+
+
 def _mc_reduce(
     s: Scenario,
     t: float,
@@ -55,8 +66,7 @@ def _mc_reduce(
     total_sq = 0.0
     kept = 0
     dropped = 0
-    for i, size in enumerate(_partition_sizes(n, partitions)):
-        draws = sample_distances(s, t, stream(seed, i), size)
+    for draws in _draw_blocks(s, t, n, seed, partitions):
         vals = transform(draws)
         finite = np.isfinite(vals)
         dropped += int(vals.size - np.count_nonzero(finite))
@@ -202,11 +212,7 @@ def tail_prob(
             raise DomainError("sup mode needs a path step dt")
         est = mc_path_mean(s, dt, t, n, seed, lambda v: _bridge_crossing(v, r, dt))
         return MCEstimate(est.mean, est.stderr, n, seed, partitions)
-    hits = 0
-    for i, size in enumerate(_partition_sizes(n, partitions)):
-        draws = sample_distances(s, t, stream(seed, i), size)
-        hits += int(np.count_nonzero(draws >= r))
-    phat = hits / n
+    phat = sum(int(np.count_nonzero(draws >= r)) for draws in _draw_blocks(s, t, n, seed, partitions)) / n
     return MCEstimate(
         mean=phat, stderr=_binomial_stderr(phat, n), n=n, seed=seed, partitions=partitions
     )

@@ -6,7 +6,9 @@ positions get a drift and a random start (Rogers & Pitman 1981, "Markov
 functions", Ann. Probab. 9): the norm of r0 U + B_t + a t e in R^3 is the
 distance to N of Brownian motion on H^3 of curvature -a^2 started at
 distance r0, when U is von Mises-Fisher on S^2 about e with concentration
-a r0.
+a r0. Endpoints need only the norm of a Gaussian position, which by
+rotation invariance takes one normal and one chi-square (sample_distances);
+paths and the circle keep the positions themselves.
 
 Random streams are counter-based: stream(seed, k) is the Philox generator
 jumped k blocks, so path k is reproducible independently of how many
@@ -57,21 +59,52 @@ class PathSample:
 
 
 def sample_distances(s: Scenario, t: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Vectorized exact draws of r_N(X_t)."""
+    """Vectorized exact draws of r_N(X_t). |c e + sqrt(t) G| in R^d, by rotation
+    invariance sqrt((c + sqrt(t) Z)^2 + t chi2_{d-1}): flat d = m - n, c = r0;
+    sphere d = m, c = 0, then |. - radius|; H^3 d = 3, c = |a t e + r0 U|.
+    Draw order: the normals Z, (H^3 off the pole) the uniforms of U_0, then
+    the chi-square (Z'^2 at d = 2, 2 standard_gamma((d - 1) / 2) beyond)."""
     if not t > 0.0:
         raise DomainError(f"t must be positive, got {t}")
     if size < 1:
         raise DomainError(f"size must be positive, got {size}")
-    return _gaussian_distance(
-        s, lambda d: math.sqrt(t) * rng.standard_normal((size, d)), t, lambda: rng.random((size, 2))
-    )
+    if isinstance(s, CirclePoint):
+        return _gaussian_distance(s, lambda d: math.sqrt(t) * rng.standard_normal((size, d)))
+    r = math.sqrt(t) * rng.standard_normal(size)
+    if isinstance(s, EuclideanAffine):
+        d, c = s.m - s.n, s.r0
+    elif isinstance(s, SphereInEuclidean):
+        d, c = s.m, 0.0
+    elif isinstance(s, HyperbolicH3Point):
+        a = math.sqrt(-s.kappa)
+        d, c = 3, a * t
+        if s.r0 > 0.0:
+            w = _vmf_cosine(a * s.r0, rng.random(size))
+            c = np.sqrt(np.maximum(c * c + 2.0 * c * s.r0 * w + s.r0 * s.r0, 0.0))
+    else:
+        raise TypeError(f"unknown scenario {s!r}")
+    r += c
+    np.square(r, out=r)
+    if d == 2:  # a gamma of shape 1/2 costs three times two normals
+        r += t * np.square(rng.standard_normal(size))
+    elif d > 2:
+        r += t * (2.0 * rng.standard_gamma(0.5 * (d - 1), size))
+    np.sqrt(r, out=r)
+    return np.abs(r - s.radius, out=r) if isinstance(s, SphereInEuclidean) else r
+
+
+def _vmf_cosine(k: float, u: np.ndarray) -> np.ndarray:
+    # U_0 of a von Mises-Fisher U on S^2 of concentration k, from uniforms u by
+    # inverting its law, density proportional to e^{k w} on [-1, 1]
+    return 1.0 + np.log1p(u * math.expm1(-2.0 * k)) / k
 
 
 def _gaussian_distance(s: Scenario, draw: Callable[[int], np.ndarray], time=None, uniforms=None) -> np.ndarray:
     """r_N on scenario s of the Brownian positions draw(d) (d coordinates on
-    the last axis, started at 0), computed in place. Only H^3 reads the
-    times `time` of the positions and, off the pole, calls uniforms() after
-    draw for two uniforms on the last axis, broadcastable against them.
+    the last axis, started at 0), computed in place: the map of every path
+    and of circle endpoints. Only H^3 reads the times `time` of the positions
+    and, off the pole, calls uniforms() after draw for two uniforms on the
+    last axis, broadcastable against them.
     """
     if isinstance(s, EuclideanAffine):
         pos = draw(s.m - s.n)
@@ -87,11 +120,9 @@ def _gaussian_distance(s: Scenario, draw: Callable[[int], np.ndarray], time=None
         a = math.sqrt(-s.kappa)
         pos = draw(3)
         pos[..., 0] += a * time
-        if s.r0 > 0.0:
-            # U_0 = w by inverting its law, density proportional to e^{k w}
-            # on [-1, 1]; the azimuth phi is uniform
-            k, u = a * s.r0, uniforms()
-            w = 1.0 + np.log1p(u[..., 0] * math.expm1(-2.0 * k)) / k
+        if s.r0 > 0.0:  # U = (w, rho cos phi, rho sin phi), the azimuth phi uniform
+            u = uniforms()
+            w = _vmf_cosine(a * s.r0, u[..., 0])
             rho = s.r0 * np.sqrt(np.maximum((1.0 - w) * (1.0 + w), 0.0))
             phi = 2.0 * math.pi * u[..., 1]
             pos[..., 0] += s.r0 * w

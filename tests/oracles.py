@@ -189,6 +189,35 @@ def upper_gamma_quad(a: float, x: float) -> float:
     return val
 
 
+def cartesian_distances(s, t: float, rng, size: int) -> np.ndarray:
+    """Exact endpoint draws of r_N(X_t) from the whole Gaussian position, the
+    Cartesian map the radial sampler replaces: size x d normals scaled by
+    sqrt(t), the start added (on H^3 the drift a t e_0 and r0 U, U von
+    Mises-Fisher of concentration a r0 with its cosine by inversion and a
+    uniform azimuth), then np.linalg.norm. s is flat, a sphere or H^3."""
+    from tubebound.modelspaces import EuclideanAffine, HyperbolicH3Point, SphereInEuclidean
+
+    if isinstance(s, EuclideanAffine):
+        pos = math.sqrt(t) * rng.standard_normal((size, s.m - s.n))
+        pos[:, 0] += s.r0
+        return np.linalg.norm(pos, axis=1)
+    if isinstance(s, SphereInEuclidean):
+        return np.abs(np.linalg.norm(math.sqrt(t) * rng.standard_normal((size, s.m)), axis=1) - s.radius)
+    if isinstance(s, HyperbolicH3Point):
+        a = math.sqrt(-s.kappa)
+        pos = math.sqrt(t) * rng.standard_normal((size, 3))
+        pos[:, 0] += a * t
+        if s.r0 > 0.0:
+            k, u = a * s.r0, rng.random((size, 2))
+            w = 1.0 + np.log1p(u[:, 0] * math.expm1(-2.0 * k)) / k
+            rho = s.r0 * np.sqrt(np.maximum((1.0 - w) * (1.0 + w), 0.0))
+            pos[:, 0] += s.r0 * w
+            pos[:, 1] += rho * np.cos(2.0 * math.pi * u[:, 1])
+            pos[:, 2] += rho * np.sin(2.0 * math.pi * u[:, 1])
+        return np.linalg.norm(pos, axis=1)
+    raise TypeError(f"no Cartesian map for {s!r}")
+
+
 def gaussian_distance_path(kind: str, d: int, r0: float, dt: float, steps: int, rng) -> np.ndarray:
     """One exact distance path drawn the one-path way: the increments as a
     (steps, d) block, positions by cumsum, distance by np.linalg.norm.
@@ -234,3 +263,34 @@ def bold_r_mpmath(lam: float, r0: float, t: float, theta: float):
     import mpmath as mp
 
     return 12 * second_moment_mpmath(2.0, lam, r0, t) * mp.mpf(theta) ** 2
+
+
+def even_moment_mpmath(nu: float, lam: float, r0: float, t: float, ord: int):
+    """(2 R e^(lam t))^ord ord! L^(nu/2-1)_ord(-r0^2 / 2R) at 60 digits (an mpf), by
+    mpmath's Laguerre function; r0^(2 ord) at t = 0."""
+    import mpmath as mp
+
+    mp.mp.dps = 60
+    lam, t = mp.mpf(lam), mp.mpf(t)
+    R = t if lam == 0 else -mp.expm1(-lam * t) / lam
+    if R == 0:
+        return mp.mpf(r0) ** (2 * ord)
+    y = mp.mpf(r0) ** 2 / (2 * R)
+    return (2 * R * mp.exp(lam * t)) ** ord * mp.factorial(ord) * mp.laguerre(ord, mp.mpf(nu) / 2 - 1, -y)
+
+
+def logsob_mpmath(mode: str, m: int, n: int, C1: float, Lambda: float, r0: float, t: float, theta: float):
+    """The log-Sobolev closed forms at 40 digits (an mpf), C(t) = (e^(k t) - 1) / k,
+    k = (m - 1) C1^2, read as t at k = 0; None where quadratic mode needs theta C(t) < 1."""
+    import mpmath as mp
+
+    mp.mp.dps = 40
+    k, t, theta = (m - 1) * mp.mpf(C1) ** 2, mp.mpf(t), mp.mpf(theta)
+    C = t if k == 0 else mp.expm1(k * t) / k
+    drift = n * mp.mpf(Lambda) + (m - 1) * mp.mpf(C1)
+    base = mp.sqrt(mp.mpf(r0) ** 2 + (m - n) * t)
+    if mode == "linear":
+        return mp.exp(theta * base + drift * theta * t / 2 + theta**2 * C / 2)
+    if theta * C >= 1:
+        return None
+    return mp.exp(theta * (base + drift * t / 2) ** 2 / (2 * (1 - theta * C)))

@@ -40,12 +40,14 @@ from tubebound.specfun import _large_z_sum
 
 from oracles import (
     bold_r_mpmath,
+    even_moment_mpmath,
     cameron_martin_quadratic,
     chi_tail,
     exit_tail_exact,
     flat_mgf_mpmath,
     flat_radial_moment,
     kummer_m1_mpmath,
+    logsob_mpmath,
     second_moment_mpmath,
     sup_tail_reflection,
 )
@@ -151,6 +153,33 @@ def test_even_moment_flat_equality_certification():
                     assert even_moment_bound(p, r0, t, ord) == pytest.approx(
                         flat_radial_moment(d, r0, t, ord), rel=1e-10
                     )
+
+
+def test_even_moment_tiny_t_and_high_order_against_mpmath():
+    # r0^2 / 2R = 5e199 overflowed the Laguerre value at order 2 (it read 1e300),
+    # and q^ord ord! overflowed an int conversion at order 200
+    p = LyapunovParams(nu=3.0, lam=0.0)
+    for r0, t, ord in ((1.0, 1e-200, 2), (0.0, 0.01, 200)):
+        want = float(even_moment_mpmath(3.0, 0.0, r0, t, ord))
+        assert even_moment_bound(p, r0, t, ord) == pytest.approx(want, rel=1e-13), (r0, t, ord)
+
+
+@given(
+    nu=st.floats(1.0, 8.0),
+    lam=st.floats(-2.0, 2.0),
+    r0=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    t=st.one_of(st.just(0.0), st.floats(1e-300, 1e-3), st.floats(1e-3, 10.0)),
+    ord=st.integers(1, 200),
+)
+@settings(max_examples=200, deadline=None)
+def test_even_moment_any_order_against_mpmath(nu, lam, r0, t, ord):
+    # lgamma's rounding grows with ord: under 3e-13 measured up to ord = 200
+    got = even_moment_bound(LyapunovParams(nu=nu, lam=lam), r0, t, ord)
+    want = even_moment_mpmath(nu, lam, r0, t, ord)
+    if want >= SATURATION:
+        assert got == SATURATION
+    else:
+        assert abs(got - want) <= 1e-12 * want + 1e-300
 
 
 def test_even_moment_dominates_h3_exact_on_grid():
@@ -469,6 +498,29 @@ def test_logsob_quadratic_domain_error():
         logsob_bound("quadratic", 1, 0, 0.0, 0.0, 0.0, 2.0, 0.5)
 
 
+def test_logsob_saturated_time_constant_against_mpmath():
+    # C(t) = (e^800 - 1) / 2 saturates at 1e300; theta^2 C(t) / 2 is still about 7e26
+    want = logsob_mpmath("linear", 3, 0, 1.0, 0.0, 0.0, 400.0, 1e-160)
+    assert want > SATURATION
+    assert logsob_bound("linear", 3, 0, 1.0, 0.0, 0.0, 400.0, 1e-160) == SATURATION
+    for theta in (2e-174, 1e-300):  # theta^2 C(t) / 2 about 0.27, then 1e-565
+        want = logsob_mpmath("linear", 3, 0, 1.0, 0.0, 0.0, 400.0, theta)
+        assert logsob_bound("linear", 3, 0, 1.0, 0.0, 0.0, 400.0, theta) == pytest.approx(float(want), rel=1e-13)
+    # theta C(t) is about 1.4e37 at theta = 1e-310, not 1e-10: outside the quadratic domain
+    assert logsob_mpmath("quadratic", 3, 0, 1.0, 0.0, 0.0, 400.0, 1e-310) is None
+    with pytest.raises(DomainError):
+        logsob_bound("quadratic", 3, 0, 1.0, 0.0, 0.0, 400.0, 1e-310)
+    # C(350) = (e^700 - 1) / 2 saturates too, but theta C(t) is 5e-7 at theta = 1e-310
+    want = logsob_mpmath("quadratic", 3, 0, 1.0, 0.0, 0.5, 350.0, 1e-310)
+    assert logsob_bound("quadratic", 3, 0, 1.0, 0.0, 0.5, 350.0, 1e-310) == float(want)
+
+
+def test_logsob_huge_theta_at_time_zero():
+    # theta^2 = inf against C(0) = 0 made the linear bound NaN
+    assert logsob_bound("linear", 3, 0, 1.0, 0.0, 0.0, 0.0, 1e200) == 1.0
+    assert logsob_bound("quadratic", 3, 0, 1.0, 0.0, 0.0, 0.0, 1e200) == 1.0
+
+
 def test_logsob_rejects_bad_mode():
     with pytest.raises(DomainError):
         logsob_bound("cubic", 1, 0, 0.0, 0.0, 0.0, 1.0, 0.1)
@@ -537,18 +589,33 @@ def test_concentration_optimized_no_worse_than_grid():
 @settings(max_examples=300, deadline=None)
 def test_concentration_optimized_no_worse_than_bounded_search(nu, lam, r0, t, r):
     # the paper's log bound, minimised over [0, 1 - 1e-12] by scipy's bounded Brent search
+    import mpmath as mp
+
     p = LyapunovParams(nu=nu, lam=lam)
     R, growth = radial_R(lam, t), radial_R(-lam, t)
 
     def log_bound(d):
         return -(nu / 2.0) * math.log1p(-d) + r0 * r0 * d / (2.0 * R * (1.0 - d)) - d * r * r / (2.0 * growth)
 
+    def log_bound_mp(d):
+        # the same expression at 40 digits: near a small minimiser its float terms cancel
+        # to 1e-11 relative, so the search's float minimum can undercut the true one
+        mp.mp.dps = 40
+        d = mp.mpf(d)
+        return -(nu / 2) * mp.log1p(-d) + r0 * r0 * d / (2 * mp.mpf(R) * (1 - d)) - d * r * r / (2 * mp.mpf(growth))
+
     res = optimize.minimize_scalar(log_bound, bounds=(0.0, 1.0 - 1e-12), method="bounded",
                                    options={"xatol": 1e-12})
-    best = min(res.fun, log_bound(0.0))  # the bounded search never evaluates delta = 0 itself
+    best = min(log_bound_mp(res.x), log_bound_mp(0.0))  # the bounded search never evaluates delta = 0 itself
     opt = concentration_bound_optimized(p, r0, t, r)
     assert 0.0 <= opt.delta <= 1.0 - 1e-12
-    assert opt.log_value <= best + 1e-12 * abs(best)
+    # the float inputs fix the minimiser only up to their rounding, which moves the
+    # minimum by about one rounding of the terms; log_value is the expression at
+    # opt.delta up to that rounding too
+    exact = log_bound_mp(opt.delta)
+    terms = abs(nu / 2.0 * math.log1p(-opt.delta)) + abs(log_bound(opt.delta)) + opt.delta * r * r / growth
+    assert exact <= best + 1e-12 * abs(best) + 4e-16 * terms
+    assert abs(opt.log_value - exact) <= 4e-16 * terms
 
 
 # ---------------------------------------------------------- exit_time_bound

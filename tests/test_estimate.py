@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ import tubebound
 
 from tubebound.errors import DomainError
 from tubebound.estimate import (
+    _DRAW_BLOCK,
     MCEstimate,
+    _mc_reduce,
     estimates_to_csv,
     _bridge_crossing,
     bridge_local_time,
@@ -27,7 +30,7 @@ from tubebound.modelspaces import (
     HyperbolicH3Point,
     SphereInEuclidean,
 )
-from tubebound.simulate import sample_path, sample_paths
+from tubebound.simulate import sample_distances, sample_path, sample_paths, stream
 
 from oracles import chi_tail, exit_tail_exact
 
@@ -62,6 +65,37 @@ def test_mc_moment_reproducible_bit_for_bit():
     assert a == b
     c = mc_moment(HyperbolicH3Point(kappa=-1.0), 1, 0.5, 2_000, seed=31, partitions=2)
     assert a != c  # partition count is part of the reproducibility tuple
+
+
+def test_mc_reduce_consumes_each_stream_in_draw_blocks():
+    # n = 3 blocks + 17 over 2 partitions: each stream gives one full block and
+    # a short one, reduced block by block in order
+    s, t, seed, n = HyperbolicH3Point(r0=0.7), 1.0, 12, 3 * _DRAW_BLOCK + 17
+    total = total_sq = 0.0
+    hits = 0
+    for i, size in enumerate((n - n // 2, n // 2)):
+        rng = stream(seed, i)
+        for k in (_DRAW_BLOCK, size - _DRAW_BLOCK):
+            draws = sample_distances(s, t, rng, k)
+            sq = draws**2
+            total += float(np.sum(sq))
+            total_sq += float(np.sum(sq * sq))
+            hits += int(np.count_nonzero(draws >= 2.5))
+    mean = total / n
+    stderr = math.sqrt(max(total_sq - n * mean * mean, 0.0) / (n - 1) / n)
+    assert _mc_reduce(s, t, n, seed, 2, lambda r: r**2) == (mean, stderr, 0)
+    assert tail_prob(s, 2.5, t, False, n, None, seed, 2).mean == hits / n
+
+
+def test_mc_moment_memory_bounded_whatever_n():
+    # 4e6 draws at once would take 32 MB; blocks of _DRAW_BLOCK keep a few of 256 kB
+    tracemalloc.start()
+    try:
+        mc_moment(EuclideanAffine(m=3, n=0), 1, 1.0, 4_000_000, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # ------------------------------------------------------------ mc_exp_moment

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -24,7 +25,7 @@ from tubebound.simulate import (
     write_path_dump,
 )
 
-from oracles import h3_moment_quad
+from oracles import cartesian_distances, h3_moment_quad
 
 
 def _mean_with_stderr(x):
@@ -75,27 +76,79 @@ def test_sphere_endpoint_moment():
 
 
 def test_h3_off_pole_endpoint_cosh_identity():
-    # Lap cosh(a r) = 3 a^2 cosh(a r), so E cosh(a r_t) = cosh(a r0) e^{3 a^2 t / 2}
+    # Lap cosh(a r) = 3 a^2 cosh(a r), so E cosh(a r_t) = cosh(a r0) e^{3 a^2 t / 2};
+    # cosh(a r) is heavy-tailed, so its mean reads low more often than high
     for kappa, r0 in ((-1.0, 0.7), (-1.0, 2.0), (-2.0, 1.0)):
         a = math.sqrt(-kappa)
-        draws = sample_distances(HyperbolicH3Point(kappa=kappa, r0=r0), 1.0, stream(106), 100_000)
+        draws = sample_distances(HyperbolicH3Point(kappa=kappa, r0=r0), 1.0, stream(106), 1_000_000)
         mean, stderr = _mean_with_stderr(np.cosh(a * draws))
         assert abs(mean - math.cosh(a * r0) * math.exp(1.5 * a * a)) <= 3.0 * stderr
 
 
 @pytest.mark.parametrize(
     "s,want",
-    [
-        (EuclideanAffine(m=3, n=1, r0=0.5), [2.378050696043966, 1.883734589895386, 1.891062991743264]),
-        (CirclePoint(r0=1.0), [0.9233248909434932, 1.3400686207166812, 1.2079936177767747]),
-        (SphereInEuclidean(m=3, radius=2.0), [0.35054495107997674, 0.3497503150621424, 0.6020529560259074]),
-    ],
-    ids=["flat", "circle", "sphere"],
+    [(CirclePoint(r0=1.0), [0.9233248909434932, 1.3400686207166812, 1.2079936177767747])],
+    ids=["circle"],
 )
 def test_gaussian_endpoint_draws_golden(s, want):
     # first draws of stream(7, 3), pinned bit for bit on the per-kind samplers
-    # that preceded the shared Gaussian distance map
+    # that preceded the shared Gaussian distance map; the circle keeps that map
     assert sample_distances(s, 2.0, stream(7, 3), 3).tolist() == want
+
+
+def test_radial_endpoint_draws_golden():
+    # the documented draw order of one call on stream(7, 3): the normals Z,
+    # then (H^3 off the pole) the uniforms of the cosine w, then the chi-square
+    t, n, c = 2.0, 3, math.sqrt(2.0)
+
+    def rng():
+        return stream(7, 3)
+
+    g = rng()  # flat R^2 from r0 = 0.5: Z'^2 is the chi-square with one degree
+    z, z2 = g.standard_normal(n), g.standard_normal(n)
+    want = np.sqrt((0.5 + c * z) ** 2 + t * z2**2)
+    assert sample_distances(EuclideanAffine(m=3, n=1, r0=0.5), t, rng(), n).tolist() == want.tolist()
+
+    g = rng()  # the sphere of radius 2 in R^3: 2 Gamma(1) has two degrees
+    z, gam = g.standard_normal(n), g.standard_gamma(1.0, n)
+    want = np.abs(np.sqrt((c * z) ** 2 + t * (2.0 * gam)) - 2.0)
+    assert sample_distances(SphereInEuclidean(m=3, radius=2.0), t, rng(), n).tolist() == want.tolist()
+
+    g = rng()  # H^3 of curvature -1 from r0 = 0.7: c^2 = t^2 + 2 t r0 w + r0^2
+    z, u, gam = g.standard_normal(n), g.random(n), g.standard_gamma(1.0, n)
+    w = 1.0 + np.log1p(u * math.expm1(-1.4)) / 0.7
+    centre = np.sqrt(np.maximum(t * t + 2.0 * t * 0.7 * w + 0.7 * 0.7, 0.0))
+    want = np.sqrt((c * z + centre) ** 2 + t * (2.0 * gam))
+    assert sample_distances(HyperbolicH3Point(r0=0.7), t, rng(), n).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize(
+    "s",
+    [EuclideanAffine(m=d, n=0, r0=0.8) for d in (1, 2, 3, 5)]
+    + [SphereInEuclidean(m=m, radius=1.0) for m in (2, 3, 6)]
+    + [HyperbolicH3Point(kappa=-1.0, r0=r0) for r0 in (0.0, 0.7, 2.0)],
+    ids=["flat1", "flat2", "flat3", "flat5", "sphere2", "sphere3", "sphere6", "h3-0", "h3-0.7", "h3-2"],
+)
+def test_radial_endpoints_match_cartesian_map_kolmogorov_smirnov(s):
+    # the norm of the whole Gaussian position, drawn on another stream
+    n = 1_000_000
+    stat = stats.ks_2samp(sample_distances(s, 1.3, stream(5), n), cartesian_distances(s, 1.3, stream(6), n)).statistic
+    assert stat < 1.628 * math.sqrt(2.0 / n)  # the 1% critical value
+
+
+def test_path_blocks_hash_pinned():
+    # sha256 prefixes of sample_paths(s, 0.01, 1.0, 23, 5, 40); off the pole the
+    # H^3 start goes through cos and sin, whose last bit depends on the CPU, so
+    # that block is hashed after rounding to 9 decimals
+    for s, want in (
+        (EuclideanAffine(m=3, n=1, r0=0.5), "2173606d6093eb63"),
+        (SphereInEuclidean(m=3, radius=1.0), "3f3dd217cee66fd2"),
+        (CirclePoint(r0=1.0), "5bec1d885e16aec1"),
+        (HyperbolicH3Point(kappa=-1.0), "11d4c6211d75ef42"),
+    ):
+        assert hashlib.sha256(sample_paths(s, 0.01, 1.0, 23, 5, 40).tobytes()).hexdigest()[:16] == want, s
+    off = np.round(sample_paths(HyperbolicH3Point(kappa=-2.0, r0=0.7), 0.01, 1.0, 23, 5, 40), 9)
+    assert hashlib.sha256(off.tobytes()).hexdigest()[:16] == "bef5ec3f4cb6c67c"
 
 
 # -------------------------------------------------------------------- paths
