@@ -87,12 +87,18 @@ def test_h3_off_pole_endpoint_cosh_identity():
 
 @pytest.mark.parametrize(
     "s,want",
-    [(CirclePoint(r0=1.0), [0.9233248909434932, 1.3400686207166812, 1.2079936177767747])],
-    ids=["circle"],
+    [
+        (EuclideanAffine(m=3, n=1, r0=0.5), [1.7962196429301214, 2.0277440317931443, 1.4998290349453378]),
+        (CirclePoint(r0=1.0), [0.9233248909434932, 1.3400686207166812, 1.2079936177767747]),
+        (SphereInEuclidean(m=3, radius=2.0), [1.019434027941088, 0.8795523529876772, 0.6639987772167366]),
+    ],
+    ids=["flat", "circle", "sphere"],
 )
 def test_gaussian_endpoint_draws_golden(s, want):
-    # first draws of stream(7, 3), pinned bit for bit on the per-kind samplers
-    # that preceded the shared Gaussian distance map; the circle keeps that map
+    # first draws of stream(7, 3), pinned bit for bit: the circle on the
+    # per-kind sampler that preceded the shared Gaussian distance map, flat and
+    # sphere on the radial sampler (one normal, then the chi-square), whose
+    # draw order test_radial_endpoint_draws_golden spells out
     assert sample_distances(s, 2.0, stream(7, 3), 3).tolist() == want
 
 
