@@ -22,7 +22,7 @@ from .simulate import PathSample, grid_steps, sample_distances, sample_paths, st
 
 _EXP_GUARD = 700.0
 _PATH_BLOCK = 1 << 16  # path values per block, rows x (steps + 1)
-_DRAW_BLOCK = 1 << 15  # endpoint draws per block, a working set that stays in cache
+_DRAW_BLOCK = 1 << 15  # endpoint draws per block: under 2 MB of arrays per call whatever n
 PathFn = Callable[[np.ndarray], np.ndarray]
 
 

@@ -589,33 +589,18 @@ def test_concentration_optimized_no_worse_than_grid():
 @settings(max_examples=300, deadline=None)
 def test_concentration_optimized_no_worse_than_bounded_search(nu, lam, r0, t, r):
     # the paper's log bound, minimised over [0, 1 - 1e-12] by scipy's bounded Brent search
-    import mpmath as mp
-
     p = LyapunovParams(nu=nu, lam=lam)
     R, growth = radial_R(lam, t), radial_R(-lam, t)
 
     def log_bound(d):
         return -(nu / 2.0) * math.log1p(-d) + r0 * r0 * d / (2.0 * R * (1.0 - d)) - d * r * r / (2.0 * growth)
 
-    def log_bound_mp(d):
-        # the same expression at 40 digits: near a small minimiser its float terms cancel
-        # to 1e-11 relative, so the search's float minimum can undercut the true one
-        mp.mp.dps = 40
-        d = mp.mpf(d)
-        return -(nu / 2) * mp.log1p(-d) + r0 * r0 * d / (2 * mp.mpf(R) * (1 - d)) - d * r * r / (2 * mp.mpf(growth))
-
     res = optimize.minimize_scalar(log_bound, bounds=(0.0, 1.0 - 1e-12), method="bounded",
                                    options={"xatol": 1e-12})
-    best = min(log_bound_mp(res.x), log_bound_mp(0.0))  # the bounded search never evaluates delta = 0 itself
+    best = min(res.fun, log_bound(0.0))  # the bounded search never evaluates delta = 0 itself
     opt = concentration_bound_optimized(p, r0, t, r)
     assert 0.0 <= opt.delta <= 1.0 - 1e-12
-    # the float inputs fix the minimiser only up to their rounding, which moves the
-    # minimum by about one rounding of the terms; log_value is the expression at
-    # opt.delta up to that rounding too
-    exact = log_bound_mp(opt.delta)
-    terms = abs(nu / 2.0 * math.log1p(-opt.delta)) + abs(log_bound(opt.delta)) + opt.delta * r * r / growth
-    assert exact <= best + 1e-12 * abs(best) + 4e-16 * terms
-    assert abs(opt.log_value - exact) <= 4e-16 * terms
+    assert opt.log_value <= best + 1e-12 * abs(best)
 
 
 # ---------------------------------------------------------- exit_time_bound
