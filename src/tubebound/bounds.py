@@ -54,10 +54,10 @@ def even_moment_bound(p: LyapunovParams, r0: float, t: float, ord: int) -> float
     Where a factor of that product leaves the floats (large ord, or y near
     overflow at tiny t) it is summed in logs as its positive terms
     binom(ord + a, ord - k) ord!/k! (2G)^(ord-k) (r0^2 e^(lam t))^k, a = nu/2 - 1.
-    The sum alone would cover every input, but the exp of a rounded log x is
-    off by about x ulps:
-    at ord 1, lam t = 517 it reads 1.2e-13 off the closed form, where the
-    product reads 3.6e-14 and the overflow-edge test asks for 1e-13.
+    The sum alone would cover every input, but the exp of a rounded log x
+    is off by about x ulps: at ord 1, lam t = 517 it reads 1.2e-13 off the
+    closed form, where the product reads 3.6e-14 and the overflow-edge
+    test asks for 1e-13.
     """
     if ord < 1:
         raise DomainError(f"ord must be a positive integer, got {ord}")
