@@ -65,7 +65,9 @@ def even_moment_bound(p: LyapunovParams, r0: float, t: float, ord: int) -> float
     if G == 0.0:  # t = 0
         return r0 ** (2 * ord) if r0 == 0.0 or ord * math.log(r0) < _LOG_SAT / 2.0 else SATURATION
     lg = math.log(2.0 * G)
-    ly = abs(2.0 * math.log(r0) - math.log(2.0 * R)) if r0 > 0.0 else 0.0  # |log y|
+    # log y where y > 1; a y below 1 only shrinks the Laguerre terms past the first,
+    # so a tiny r0 keeps the product
+    ly = max(2.0 * math.log(r0) - math.log(2.0 * R), 0.0) if r0 > 0.0 else 0.0
     if math.lgamma(ord + a + 1) + math.lgamma(ord + 1) + ord * (abs(lg) + ly) < 700.0:  # no factor overflows
         lag = laguerre(ord, a, -r0 * r0 / (2.0 * R))
         return min((2.0 * G) ** ord * math.factorial(ord) * lag, SATURATION)

@@ -196,6 +196,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 _DASHES = {0.0: "", -1.0: "2,3", 1.0: "7,4"}
 
 
+def _fresh(path: Path) -> Path:
+    """path with any old file there removed, so that writing it makes a new
+    file: truncating an existing one can stall open() for tens of ms (ext4
+    auto_da_alloc)."""
+    path.unlink(missing_ok=True)
+    return path
+
+
 def _cmd_curves(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -207,7 +215,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
             lp = LyapunovParams(nu=float(args.m), lam=-R / 3.0)
             curve = builder(lp, 0.0, args.theta, grid)
             name = f"{family}_R{R:g}"
-            (out / f"{name}.csv").write_text(curve_to_csv(curve))
+            _fresh(out / f"{name}.csv").write_text(curve_to_csv(curve))
             if family == "exp_sq":
                 point = curve.explosion_point
                 explosion_rows.append(f"{name},{point!r}" if point is not None else f"{name},never")
@@ -220,8 +228,8 @@ def _cmd_curves(args: argparse.Namespace) -> int:
         svg = _render_svg(
             f"{family} bound, theta={args.theta:g}, nu={args.m}", curves, args.t_max
         )
-        (out / f"{family}.svg").write_text(svg)
-    (out / "explosions.csv").write_text("curve,explosion_time\n" + "\n".join(explosion_rows) + "\n")
+        _fresh(out / f"{family}.svg").write_text(svg)
+    _fresh(out / "explosions.csv").write_text("curve,explosion_time\n" + "\n".join(explosion_rows) + "\n")
     print(f"wrote {2 * len(args.R)} curve CSVs, 2 SVGs and explosions.csv to {out}")
     return 0
 
@@ -258,7 +266,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "mc_results.csv").write_text(estimates_to_csv(rows))
+        _fresh(out / "mc_results.csv").write_text(estimates_to_csv(rows))
         print(f"wrote {out / 'mc_results.csv'}")
     return 0 if ok else 1
 
@@ -288,7 +296,7 @@ def _cmd_localtime(args: argparse.Namespace) -> int:
     for name, s, distance, t, truth, tol in jobs:
         est = mc_path_mean(s, args.dt, t, args.n, args.seed, lambda v: bridge_local_time(distance(v), args.dt))
         if args.dump_paths and out:
-            with open(out / f"localtime_{name}_path0.bin", "wb") as fh:
+            with open(_fresh(out / f"localtime_{name}_path0.bin"), "wb") as fh:
                 write_path_dump(sample_path(s, args.dt, t, args.seed), fh)
         ok = abs(est.mean - truth) <= tol * truth
         status |= 0 if ok else 1
@@ -298,7 +306,7 @@ def _cmd_localtime(args: argparse.Namespace) -> int:
         )
         rows.append((name, est))
     if out:
-        (out / "localtime_results.csv").write_text(estimates_to_csv(rows))
+        _fresh(out / "localtime_results.csv").write_text(estimates_to_csv(rows))
         print(f"wrote {out / 'localtime_results.csv'}")
     return status
 

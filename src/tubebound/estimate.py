@@ -3,14 +3,15 @@ and local times, the path ones conditioned on the bridge between grid points.
 
 Draw-based estimators split n over `partitions` independent streams, draw
 each stream in blocks of _DRAW_BLOCK and reduce partial sums in fixed
-order, so results are bit-reproducible for a given (seed, partitions),
-parallelizable across partitions and bounded in memory whatever n.
-Path-based ones give path k stream k, so batching paths does not change
-them.
+order, so results are bit-reproducible for a given (seed, partitions)
+and bounded in memory whatever n; they run on one thread. Path-based ones
+give path k stream k and run their blocks of paths on a thread pool, so
+neither batching nor the worker count changes them.
 """
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -21,7 +22,10 @@ from .modelspaces import CirclePoint, Scenario
 from .simulate import PathSample, grid_steps, sample_distances, sample_paths, stream
 
 _EXP_GUARD = 700.0
-_PATH_BLOCK = 1 << 16  # path values per block, rows x (steps + 1)
+_PATH_BLOCK = 1 << 16  # path values in flight, rows x (steps + 1) over all workers
+# at most 4, so a block keeps 2^14 values (16 paths at dt 1e-3): smaller blocks
+# lost more to per-block overhead than extra threads won back
+_WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 _DRAW_BLOCK = 1 << 15  # endpoint draws per block: under 2 MB of arrays per call whatever n
 PathFn = Callable[[np.ndarray], np.ndarray]
 
@@ -127,15 +131,19 @@ def path_functional(s: Scenario, dt: float, T: float, n: int, seed: int, fn: Pat
     """fn over paths 0..n-1 of `seed` (see sample_paths), in blocks of rows.
 
     fn maps a (rows, steps + 1) block of paths to an array whose first axis
-    has one entry per row; the entries are returned in path order. A block
-    holds at most _PATH_BLOCK values, so memory stays bounded whatever n.
+    has one entry per row; the entries are returned in path order. Blocks
+    run on _WORKERS threads (numpy releases the GIL) and each holds at most
+    _PATH_BLOCK // _WORKERS values (at least one row), so memory stays
+    bounded whatever n and the result has the same bits for any worker count.
     """
     if n < 1:
         raise DomainError(f"need n >= 1 paths, got {n}")
-    rows = max(1, _PATH_BLOCK // (grid_steps(dt, T) + 1))
-    return np.concatenate(
-        [fn(sample_paths(s, dt, T, seed, i, min(rows, n - i))) for i in range(0, n, rows)]
-    )
+    rows = max(1, _PATH_BLOCK // _WORKERS // (grid_steps(dt, T) + 1))
+    block = lambda i: fn(sample_paths(s, dt, T, seed, i, min(rows, n - i)))
+    from concurrent.futures import ThreadPoolExecutor  # here, so that `import tubebound` stays lean
+
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        return np.concatenate(list(pool.map(block, range(0, n, rows))))
 
 
 def mc_path_mean(s: Scenario, dt: float, T: float, n: int, seed: int, fn: PathFn) -> MCEstimate:

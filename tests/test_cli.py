@@ -124,6 +124,37 @@ def test_mc_csv_byte_identical(tmp_path):
     assert (a / "mc_results.csv").read_bytes() == (b / "mc_results.csv").read_bytes()
 
 
+RERUN_COMMANDS = [
+    ["curves", "--R", "-1", "0", "--steps", "40"],
+    ["mc", "--scenario", "h3", "--t", "0.5", "--n", "2000", "--partitions", "2"],
+    ["localtime", "--scenario", "sphere", "--n", "50", "--dt", "1e-2", "--dump-paths"],
+]
+
+
+@pytest.mark.parametrize("argv", RERUN_COMMANDS, ids=["curves", "mc", "localtime"])
+def test_rerun_replaces_every_output_file(argv, tmp_path):
+    # a rerun over old outputs, each longer than its new content, and over a
+    # symlink writes the bytes of a run into an empty directory and leaves the
+    # link's target alone
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    assert cli.main([*argv, "--out", str(fresh)]) == 0
+    names = sorted(f.name for f in fresh.iterdir())
+    reused.mkdir()
+    for name in names:
+        (reused / name).write_bytes(b"x" * (len((fresh / name).read_bytes()) + 4096))
+    target = tmp_path / "target"
+    target.write_bytes(b"keep")
+    (reused / names[0]).unlink()
+    (reused / names[0]).symlink_to(target)
+    for _ in range(2):
+        assert cli.main([*argv, "--out", str(reused)]) == 0
+        assert sorted(f.name for f in reused.iterdir()) == names
+        for name in names:
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+    assert not (reused / names[0]).is_symlink()
+    assert target.read_bytes() == b"keep"
+
+
 # ------------------------------------------------------------------ localtime
 
 def test_localtime_circle(capsys):

@@ -1,7 +1,9 @@
 """The batched path engine: sample_paths rows against one-path sampling,
-H^3 rows against the exact law at grid times, block-size independence of
-path_functional, and sup-mode tails against the exact exit-time series."""
+H^3 rows against the exact law at grid times, independence of
+path_functional from block size and worker count, and sup-mode tails
+against the exact exit-time series."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from scipy import integrate
 from tubebound import estimate
 from tubebound.bounds import concentration_bound_optimized, exit_time_bound
 from tubebound.errors import DomainError
-from tubebound.estimate import path_functional, tail_prob
+from tubebound.estimate import bridge_local_time, path_functional, tail_prob
 from tubebound.modelspaces import (
     CirclePoint,
     EuclideanAffine,
@@ -70,6 +72,7 @@ def test_path_functional_independent_of_block_size(monkeypatch):
 
 
 def test_blocks_hold_at_most_the_value_budget(monkeypatch):
+    monkeypatch.setattr(estimate, "_WORKERS", 1)  # in path order, one block at a time
     monkeypatch.setattr(estimate, "_PATH_BLOCK", 40 * 101)
     rows = []
     path_functional(CirclePoint(), 0.01, 1.0, 150, 3, lambda v: rows.append(len(v)) or v[:, -1])
@@ -78,6 +81,62 @@ def test_blocks_hold_at_most_the_value_budget(monkeypatch):
     rows.clear()
     path_functional(CirclePoint(), 0.01, 1.0, 3, 3, lambda v: rows.append(len(v)) or v[:, -1])
     assert rows == [1, 1, 1]
+
+
+POOL_SCENARIOS = [
+    EuclideanAffine(m=3, n=0, r0=0.7),
+    SphereInEuclidean(m=2, radius=1.0),
+    CirclePoint(r0=1.0),
+    HyperbolicH3Point(kappa=-1.0, r0=0.7),
+]
+
+
+@pytest.mark.parametrize("s", POOL_SCENARIOS, ids=["flat", "sphere", "circle", "h3"])
+def test_path_functional_bit_identical_for_any_worker_count(s, monkeypatch):
+    # 150 paths of 101 values in blocks of at most 40 // workers rows: several
+    # blocks per worker and a ragged last one
+    monkeypatch.setattr(estimate, "_PATH_BLOCK", 40 * 101)
+
+    def fn(v):  # the rows and a per-row reduction of them
+        return np.column_stack([v, bridge_local_time(v, 0.01)])
+
+    runs, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads swap as often as they can
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(estimate, "_WORKERS", workers)
+            runs.append(path_functional(s, 0.01, 1.0, 150, 5, fn))
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[0].shape == (150, 102)
+    assert all(np.array_equal(r, runs[0]) for r in runs[1:])
+
+
+def test_error_in_a_worker_reaches_the_caller_unchanged(monkeypatch):
+    monkeypatch.setattr(estimate, "_PATH_BLOCK", 10 * 101)
+    monkeypatch.setattr(estimate, "_WORKERS", 2)
+    err = DomainError("bad block")
+
+    def fn(v):
+        if v.shape[0] < 5:  # only the last, ragged block
+            raise err
+        return v[:, -1]
+
+    with pytest.raises(DomainError) as caught:
+        path_functional(CirclePoint(), 0.01, 1.0, 23, 3, fn)
+    assert caught.value is err
+
+
+def test_blocks_split_the_value_budget_between_workers(monkeypatch):
+    assert 1 <= estimate._WORKERS <= 4  # so a block keeps 2^14 values
+    monkeypatch.setattr(estimate, "_WORKERS", 2)
+    sizes = []
+    path_functional(CirclePoint(), 0.01, 1.0, 500, 3, lambda v: sizes.append(v.size) or v[:, -1])
+    assert len(sizes) > 1 and max(sizes) <= estimate._PATH_BLOCK // 2
+    monkeypatch.setattr(estimate, "_PATH_BLOCK", 150)  # half of it is shorter than one path
+    sizes.clear()
+    path_functional(CirclePoint(), 0.01, 1.0, 3, 3, lambda v: sizes.append(v.shape) or v[:, -1])
+    assert sizes == [(1, 101)] * 3
 
 
 def test_path_functional_validates_inputs():
