@@ -28,7 +28,6 @@ from .estimate import (
     MCEstimate,
     mc_exp_moment,
     mc_moment,
-    occupation_local_time_extrapolated,
     tail_prob,
 )
 from .modelspaces import (
@@ -44,7 +43,7 @@ from .modelspaces import (
     lyapunov_params,
     revuz_mean_local_time,
 )
-from .simulate import PathSample, sample_path, stream
+from .simulate import stream
 from .specfun import ComparisonValues, comparison, kummer, laguerre, upper_gamma
 
 __version__ = "0.1.0"
@@ -59,7 +58,6 @@ __all__ = [
     "HyperbolicH3Point",
     "LyapunovParams",
     "MCEstimate",
-    "PathSample",
     "Scenario",
     "SphereInEuclidean",
     "comparison",
@@ -80,10 +78,8 @@ __all__ = [
     "lyapunov_params",
     "mc_exp_moment",
     "mc_moment",
-    "occupation_local_time_extrapolated",
     "radial_R",
     "revuz_mean_local_time",
-    "sample_path",
     "second_moment_bound",
     "stream",
     "tail_prob",

@@ -43,7 +43,7 @@ from .modelspaces import (
     revuz_mean_local_time,
     scenario_from_kv,
 )
-from .simulate import sample_path, write_path_dump
+from .simulate import sample_paths, write_path_dump
 from .verify import DEFAULT_SEED, run_all
 
 _ENV_SEED = "TUBEBOUND_SEED"
@@ -297,7 +297,7 @@ def _cmd_localtime(args: argparse.Namespace) -> int:
         est = mc_path_mean(s, args.dt, t, args.n, args.seed, lambda v: bridge_local_time(distance(v), args.dt))
         if args.dump_paths and out:
             with open(_fresh(out / f"localtime_{name}_path0.bin"), "wb") as fh:
-                write_path_dump(sample_path(s, args.dt, t, args.seed), fh)
+                write_path_dump(args.dt, sample_paths(s, args.dt, t, args.seed, 0, 1)[0], fh)
         ok = abs(est.mean - truth) <= tol * truth
         status |= 0 if ok else 1
         print(

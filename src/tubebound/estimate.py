@@ -211,15 +211,14 @@ def tail_prob(
     Point mode counts exact endpoint draws, with the Wilson half-width as
     standard error below 0.05 (no zero-stderr artifacts at rare events).
     Sup mode averages over paths at step dt each one's bridge-crossing
-    probability given its grid (no grid-monitoring bias), unpartitioned.
+    probability given its grid (no grid-monitoring bias), unpartitioned (partitions 1).
     """
     if r <= 0.0:
         raise DomainError(f"r must be positive, got {r}")
     if sup_mode:
         if dt is None:
             raise DomainError("sup mode needs a path step dt")
-        est = mc_path_mean(s, dt, t, n, seed, lambda v: _bridge_crossing(v, r, dt))
-        return MCEstimate(est.mean, est.stderr, n, seed, partitions)
+        return mc_path_mean(s, dt, t, n, seed, lambda v: _bridge_crossing(v, r, dt))
     phat = sum(int(np.count_nonzero(draws >= r)) for draws in _draw_blocks(s, t, n, seed, partitions)) / n
     return MCEstimate(
         mean=phat, stderr=_binomial_stderr(phat, n), n=n, seed=seed, partitions=partitions

@@ -140,48 +140,41 @@ def radial_laplacian_half_sq(s: Scenario, r: float) -> float:
     raise TypeError(f"unknown scenario {s!r}")
 
 
-def _gaussian_odd_shift_mean(mu: float, var: float, q: int) -> float:
-    # E[(mu + Z)^q] for Z ~ N(0, var) and odd q
-    total = 0.0
-    for j in range(0, q + 1, 2):
-        dfact = math.prod(range(1, j, 2)) if j > 0 else 1
-        total += math.comb(q, j) * mu ** (q - j) * dfact * var ** (j // 2)
-    return total
+def _gaussian_law(s: Scenario, t: float) -> Optional[tuple[int, float]]:
+    # (d, c) with r_N(X_t) distributed as |c e + B_t| in R^d, where that holds:
+    # flat (m - n, r0); H^3 at the pole (3, a t) by Rogers & Pitman (simulate)
+    if isinstance(s, EuclideanAffine):
+        return s.m - s.n, s.r0
+    if isinstance(s, HyperbolicH3Point) and s.r0 == 0.0:
+        return 3, math.sqrt(-s.kappa) * t
+    return None
 
 
 def exact_moment(s: Scenario, p: int, t: float) -> Optional[float]:
     """Exact E[r_N^{2p}(X_t)] where available, else None.
 
-    Affine: (2t)^p p! L^{(m-n)/2-1}_p(-r0^2/2t). Hyperbolic point (start at
-    the pole): reduction of the radial integral to a one-dimensional Gaussian,
-    E r^{2p} = E[(Z + a t)^{2p+1}] / (a t) with Z ~ N(0, t), a = sqrt(-kappa);
-    for p = 1 this is 3t - kappa t^2. Circle: only the t -> inf limit pi^2/3.
+    Flat and H^3 at the pole: r = |c e + B_t| in R^d (_gaussian_law), so
+    E r^{2p} = (2t)^p p! L^{d/2-1}_p(-c^2/2t); on H^3 at p = 1, 3t - kappa t^2.
+    Circle: only the t -> inf limit pi^2/3.
     """
     if p < 1:
         raise DomainError(f"p must be a positive integer, got {p}")
     if not t > 0.0:
         raise DomainError(f"t must be positive, got {t}")
-    if isinstance(s, EuclideanAffine):
-        if math.isinf(t):
-            return None
-        d = s.m - s.n
-        return (2.0 * t) ** p * math.factorial(p) * laguerre(p, d / 2.0 - 1.0, -s.r0**2 / (2.0 * t))
-    if isinstance(s, HyperbolicH3Point):
-        if math.isinf(t) or s.r0 != 0.0:
-            return None
-        a = math.sqrt(-s.kappa)
-        return _gaussian_odd_shift_mean(a * t, t, 2 * p + 1) / (a * t)
     if isinstance(s, CirclePoint):
-        if math.isinf(t) and p == 1:
-            return math.pi**2 / 3.0
+        return math.pi**2 / 3.0 if math.isinf(t) and p == 1 else None
+    law = _gaussian_law(s, t)
+    if law is None or math.isinf(t):
         return None
-    return None
+    d, c = law
+    return (2.0 * t) ** p * math.factorial(p) * laguerre(p, d / 2.0 - 1.0, -(c**2) / (2.0 * t))
 
 
 def exact_exp_moment(s: Scenario, theta: float, t: float) -> Optional[float]:
     """Exact E[exp(theta r_N^2(X_t) / 2)] where available, else None.
 
-    Needs theta * t < 1 in both closed-form cases; theta = 0 is 1 everywhere.
+    Flat and H^3 at the pole (see exact_moment): (1 - theta t)^{-d/2}
+    exp(theta c^2 / (2 (1 - theta t))), for theta * t < 1; theta = 0 is 1 everywhere.
     """
     if theta < 0.0:
         raise DomainError(f"theta must be non-negative, got {theta}")
@@ -189,28 +182,21 @@ def exact_exp_moment(s: Scenario, theta: float, t: float) -> Optional[float]:
         raise DomainError(f"t must be positive, got {t}")
     if theta == 0.0:
         return 1.0
-    if isinstance(s, EuclideanAffine):
-        if theta * t >= 1.0:
-            raise DomainError(f"need theta*t < 1, got {theta * t}")
-        d = s.m - s.n
-        return (1.0 - theta * t) ** (-d / 2.0) * math.exp(
-            theta * s.r0**2 / (2.0 * (1.0 - theta * t))
-        )
-    if isinstance(s, HyperbolicH3Point) and s.r0 == 0.0:
-        if theta * t >= 1.0:
-            raise DomainError(f"need theta*t < 1, got {theta * t}")
-        return (1.0 - theta * t) ** -1.5 * math.exp(
-            -theta * s.kappa * t**2 / (2.0 * (1.0 - theta * t))
-        )
-    return None
+    law = _gaussian_law(s, t)
+    if law is None:
+        return None
+    if theta * t >= 1.0:
+        raise DomainError(f"need theta*t < 1, got {theta * t}")
+    d, c = law
+    return (1.0 - theta * t) ** (-d / 2.0) * math.exp(theta * c**2 / (2.0 * (1.0 - theta * t)))
 
 
 def heat_kernel(s: Scenario, t: float, r: float) -> Optional[float]:
     """Transition density at distance r from the start, where known in closed form.
 
     Hyperbolic: Theta^{-1/2} (2 pi t)^{-3/2} exp(-r^2/2t + kappa t/2) with
-    Theta^{1/2} = sinh(a r)/(a r). Circle: wrapped Gaussian, summed until the
-    added images fall below 1e-16 of the running total.
+    Theta^{1/2} = sinh(a r)/(a r). Circle: the wrapped Gaussian, summed over
+    the images of revuz_mean_local_time.
     """
     if not t > 0.0:
         raise DomainError(f"t must be positive, got {t}")
@@ -231,23 +217,15 @@ def heat_kernel(s: Scenario, t: float, r: float) -> Optional[float]:
     if isinstance(s, CirclePoint):
         if r > math.pi:
             raise DomainError(f"circle distance must lie in [0, pi], got {r}")
-        return _wrapped_gaussian(t, r)
+        return sum(math.exp(-x * x / (2.0 * t)) for x in _circle_images(r, t)) / math.sqrt(2.0 * math.pi * t)
     return None
 
 
-def _wrapped_gaussian(t: float, r: float) -> float:
-    # sum of Gaussian images over 2 pi k shifts, truncated at 1e-16 relative
-    norm = 1.0 / math.sqrt(2.0 * math.pi * t)
-    total = math.exp(-r * r / (2.0 * t))
-    k = 1
-    while True:
-        add = math.exp(-((r + 2.0 * math.pi * k) ** 2) / (2.0 * t)) + math.exp(
-            -((r - 2.0 * math.pi * k) ** 2) / (2.0 * t)
-        )
-        total += add
-        if add <= 1e-16 * total:  # also ends the all-underflow case, total == 0
-            return norm * total
-        k += 1
+def _circle_images(r: float, t: float) -> list[float]:
+    # distances |r + 2 pi k| of the images of a point at circle distance r, cut
+    # beyond r + 12 sqrt(t): an image there weighs under e^{-72} of the nearest
+    k_max = math.ceil((r + 12.0 * math.sqrt(t)) / (2.0 * math.pi))
+    return [abs(r + 2.0 * math.pi * k) for k in range(-k_max, k_max + 1)]
 
 
 def revuz_mean_local_time(s: Scenario, t: float) -> Optional[float]:
@@ -256,8 +234,7 @@ def revuz_mean_local_time(s: Scenario, t: float) -> Optional[float]:
     Sphere shell in R^m from the centre: radius * Gamma(m/2-1, radius^2/2t) /
     Gamma(m/2). Circle point: the wrapped-Gaussian kernel at distance r0
     integrated over [0, t] image by image, each image at distance x giving
-    sqrt(2t/pi) e^{-x^2/2t} - x erfc(x / sqrt(2t)); images beyond r0 + 12 sqrt(t)
-    add less than e^{-72}.
+    sqrt(2t/pi) e^{-x^2/2t} - x erfc(x / sqrt(2t)).
     """
     if not t > 0.0:
         raise DomainError(f"t must be positive, got {t}")
@@ -266,11 +243,9 @@ def revuz_mean_local_time(s: Scenario, t: float) -> Optional[float]:
         x = s.radius**2 / (2.0 * t)
         return s.radius * upper_gamma(a, x) / math.gamma(s.m / 2.0)
     if isinstance(s, CirclePoint):
-        k_max = math.ceil((s.r0 + 12.0 * math.sqrt(t)) / (2.0 * math.pi))
-        xs = [abs(s.r0 + 2.0 * math.pi * k) for k in range(-k_max, k_max + 1)]
         rt = math.sqrt(2.0 * t)
         peak = rt / math.sqrt(math.pi)
-        return sum(peak * math.exp(-((x / rt) ** 2)) - x * math.erfc(x / rt) for x in xs)
+        return sum(peak * math.exp(-((x / rt) ** 2)) - x * math.erfc(x / rt) for x in _circle_images(s.r0, t))
     return None
 
 

@@ -7,8 +7,8 @@ functions", Ann. Probab. 9): the norm of r0 U + B_t + a t e in R^3 is the
 distance to N of Brownian motion on H^3 of curvature -a^2 started at
 distance r0, when U is von Mises-Fisher on S^2 about e with concentration
 a r0. Endpoints need only the norm of a Gaussian position, which by
-rotation invariance takes one normal and one chi-square (sample_distances);
-paths and the circle keep the positions themselves.
+rotation invariance takes one normal and one chi-square (sample_distances;
+one normal on the circle); paths keep the positions themselves.
 
 Random streams are counter-based: stream(seed, k) is the Philox generator
 jumped k blocks, so path k is reproducible independently of how many
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
@@ -61,16 +61,18 @@ class PathSample:
 def sample_distances(s: Scenario, t: float, rng: np.random.Generator, size: int) -> np.ndarray:
     """Vectorized exact draws of r_N(X_t). |c e + sqrt(t) G| in R^d, by rotation
     invariance sqrt((c + sqrt(t) Z)^2 + t chi2_{d-1}): flat d = m - n, c = r0;
-    sphere d = m, c = 0, then |. - radius|; H^3 d = 3, c = |a t e + r0 U|.
-    Draw order: the normals Z, (H^3 off the pole) the uniforms of U_0, then
-    the chi-square (Z'^2 at d = 2, 2 standard_gamma((d - 1) / 2) beyond)."""
+    sphere d = m, c = 0, then |. - radius|; H^3 d = 3, c = |a t e + r0 U|;
+    circle r0 + sqrt(t) Z wrapped. Draw order: the normals Z, (H^3 off the
+    pole) the uniforms of U_0, then the chi-square (Z'^2 at d = 2,
+    2 standard_gamma((d - 1) / 2) beyond)."""
     if not t > 0.0:
         raise DomainError(f"t must be positive, got {t}")
     if size < 1:
         raise DomainError(f"size must be positive, got {size}")
-    if isinstance(s, CirclePoint):
-        return _gaussian_distance(s, lambda d: math.sqrt(t) * rng.standard_normal((size, d)))
     r = math.sqrt(t) * rng.standard_normal(size)
+    if isinstance(s, CirclePoint):
+        r += s.r0
+        return _circle_distance(r)
     if isinstance(s, EuclideanAffine):
         d, c = s.m - s.n, s.r0
     elif isinstance(s, SphereInEuclidean):
@@ -99,39 +101,6 @@ def _vmf_cosine(k: float, u: np.ndarray) -> np.ndarray:
     return 1.0 + np.log1p(u * math.expm1(-2.0 * k)) / k
 
 
-def _gaussian_distance(s: Scenario, draw: Callable[[int], np.ndarray], time=None, uniforms=None) -> np.ndarray:
-    """r_N on scenario s of the Brownian positions draw(d) (d coordinates on
-    the last axis, started at 0), computed in place: the map of every path
-    and of circle endpoints. Only H^3 reads the times `time` of the positions
-    and, off the pole, calls uniforms() after draw for two uniforms on the
-    last axis, broadcastable against them.
-    """
-    if isinstance(s, EuclideanAffine):
-        pos = draw(s.m - s.n)
-        pos[..., 0] += s.r0
-        return _radius(pos)
-    if isinstance(s, SphereInEuclidean):
-        return np.abs(_radius(draw(s.m)) - s.radius)
-    if isinstance(s, CirclePoint):
-        angle = draw(1)[..., 0]
-        angle += s.r0
-        return _circle_distance(angle)
-    if isinstance(s, HyperbolicH3Point):  # Rogers-Pitman, e = e_0 (module docstring)
-        a = math.sqrt(-s.kappa)
-        pos = draw(3)
-        pos[..., 0] += a * time
-        if s.r0 > 0.0:  # U = (w, rho cos phi, rho sin phi), the azimuth phi uniform
-            u = uniforms()
-            w = _vmf_cosine(a * s.r0, u[..., 0])
-            rho = s.r0 * np.sqrt(np.maximum((1.0 - w) * (1.0 + w), 0.0))
-            phi = 2.0 * math.pi * u[..., 1]
-            pos[..., 0] += s.r0 * w
-            pos[..., 1] += rho * np.cos(phi)
-            pos[..., 2] += rho * np.sin(phi)
-        return _radius(pos)
-    raise TypeError(f"unknown scenario {s!r}")
-
-
 def _circle_distance(angle: np.ndarray) -> np.ndarray:
     """|angle| wrapped to [0, pi], computed in place."""
     angle += math.pi
@@ -148,7 +117,7 @@ def grid_steps(dt: float, T: float) -> int:
 
 
 def sample_path(s: Scenario, dt: float, T: float, seed: int, index: int = 0) -> PathSample:
-    """Discretized trajectory of r_N(X) on the grid k*dt: row `index` of sample_paths."""
+    """Row `index` of sample_paths as a PathSample; kept only for the benchmark, which times it."""
     return PathSample(dt=dt, values=sample_paths(s, dt, T, seed, index, 1)[0], scenario=s, seed=seed)
 
 
@@ -167,18 +136,33 @@ def sample_paths(s: Scenario, dt: float, T: float, seed: int, start: int, count:
     rows = (seed, range(start, start + count))
     if isinstance(s, HyperbolicH3Point):
         return _h3_walk(s.kappa, s.r0, dt, steps, rows)
-    return _gaussian_distance(s, lambda d: _gaussian_paths(rows, steps, d, dt))
+    if isinstance(s, EuclideanAffine):
+        pos = _gaussian_paths(rows, steps, s.m - s.n, dt)
+        pos[..., 0] += s.r0
+        return _radius(pos)
+    if isinstance(s, SphereInEuclidean):
+        return np.abs(_radius(_gaussian_paths(rows, steps, s.m, dt)) - s.radius)
+    if isinstance(s, CirclePoint):
+        angle = _gaussian_paths(rows, steps, 1, dt)[..., 0]
+        angle += s.r0
+        return _circle_distance(angle)
+    raise TypeError(f"unknown scenario {s!r}")
 
 
 def _h3_walk(kappa: float, r0: float, dt: float, steps: int, rows: tuple[int, Sequence[int]]) -> np.ndarray:
     """sample_paths on H^3 from r0, rows = (seed, stream indices); the benchmark times this name."""
+    a = math.sqrt(-kappa)
     starts = np.empty((len(rows[1]), 1, 2))
-    return _gaussian_distance(
-        HyperbolicH3Point(kappa=kappa, r0=r0),
-        lambda d: _gaussian_paths(rows, steps, d, dt, starts[:, 0] if r0 > 0.0 else None),
-        dt * np.arange(steps + 1),
-        lambda: starts,
-    )
+    pos = _gaussian_paths(rows, steps, 3, dt, starts[:, 0] if r0 > 0.0 else None)
+    pos[..., 0] += a * (dt * np.arange(steps + 1))  # Rogers-Pitman, e = e_0 (module docstring)
+    if r0 > 0.0:  # U = (w, rho cos phi, rho sin phi), the azimuth phi uniform
+        w = _vmf_cosine(a * r0, starts[..., 0])
+        rho = r0 * np.sqrt(np.maximum((1.0 - w) * (1.0 + w), 0.0))
+        phi = 2.0 * math.pi * starts[..., 1]
+        pos[..., 0] += r0 * w
+        pos[..., 1] += rho * np.cos(phi)
+        pos[..., 2] += rho * np.sin(phi)
+    return _radius(pos)
 
 
 def _gaussian_paths(rows: tuple[int, Sequence[int]], steps: int, d: int, dt: float, starts=None) -> np.ndarray:
@@ -211,11 +195,11 @@ def _radius(pos: np.ndarray) -> np.ndarray:
     return np.sqrt(sq, out=sq)
 
 
-def write_path_dump(path: PathSample, fh: BinaryIO) -> None:
-    """Binary dump: magic TBND, version u32, count u64, dt f64, then f64 values."""
+def write_path_dump(dt: float, values: np.ndarray, fh: BinaryIO) -> None:
+    """Binary dump of a path on the grid k*dt: magic TBND, version u32, count u64, dt f64, values f64."""
     fh.write(DUMP_MAGIC)
-    fh.write(struct.pack("<IQd", DUMP_VERSION, len(path.values), path.dt))
-    fh.write(np.asarray(path.values, dtype="<f8").tobytes())
+    fh.write(struct.pack("<IQd", DUMP_VERSION, len(values), dt))
+    fh.write(np.asarray(values, dtype="<f8").tobytes())
 
 
 def read_path_dump(fh: BinaryIO) -> tuple[float, np.ndarray]:

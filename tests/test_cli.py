@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from tubebound import cli
-from tubebound.simulate import read_path_dump
+from tubebound.modelspaces import SphereInEuclidean
+from tubebound.simulate import read_path_dump, sample_paths
 
 
 def _read_csv_rows(path):
@@ -175,6 +177,7 @@ def test_localtime_sphere_with_dump(tmp_path, capsys):
         dt, values = read_path_dump(fh)
     assert dt == 5e-4
     assert values[0] == 1.0  # starts at the centre, distance = radius
+    assert np.array_equal(values, sample_paths(SphereInEuclidean(), 5e-4, 1.0, cli._default_seed(), 0, 1)[0])
     assert (tmp_path / "localtime_results.csv").exists()
 
 

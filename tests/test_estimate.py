@@ -169,9 +169,10 @@ def test_bridge_estimators_match_per_step_sums():
         assert (cross[j] == 1.0) == (row.max() >= r)
 
 
-def test_import_loads_no_scipy():
+@pytest.mark.parametrize("module", ["tubebound", "tubebound.cli"])
+def test_import_loads_no_scipy(module):
     src = os.path.dirname(os.path.dirname(tubebound.__file__))
-    code = "import sys, tubebound; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
@@ -235,6 +236,13 @@ def test_tail_prob_rare_event_stderr_positive():
     est = tail_prob(EuclideanAffine(m=1, n=0), 50.0, 1.0, False, 2_000, None, seed=63)
     assert est.mean == 0.0
     assert est.stderr > 0.0
+
+
+def test_tail_prob_sup_mode_reports_the_partitions_it_used():
+    # sup mode runs one path per stream whatever `partitions` says
+    args = (EuclideanAffine(m=1, n=0), 2.0, 1.0, True, 500, 1e-2)
+    one, three = tail_prob(*args, seed=65), tail_prob(*args, seed=65, partitions=3)
+    assert (three.mean, three.stderr, three.partitions) == (one.mean, one.stderr, 1)
 
 
 def test_tail_prob_sup_needs_dt():

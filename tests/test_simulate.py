@@ -227,7 +227,7 @@ def test_path_dump_round_trip():
     s = CirclePoint(r0=0.25)
     path = sample_path(s, 0.05, 1.0, seed=99, index=0)
     buf = io.BytesIO()
-    write_path_dump(path, buf)
+    write_path_dump(path.dt, path.values, buf)
     raw = buf.getvalue()
     assert raw[:4] == b"TBND"
     assert len(raw) == 4 + 4 + 8 + 8 + 8 * len(path.values)
@@ -241,7 +241,7 @@ def test_path_dump_rejects_corruption():
     s = CirclePoint(r0=0.25)
     path = sample_path(s, 0.05, 1.0, seed=99, index=0)
     buf = io.BytesIO()
-    write_path_dump(path, buf)
+    write_path_dump(path.dt, path.values, buf)
     raw = buf.getvalue()
     with pytest.raises(DomainError):
         read_path_dump(io.BytesIO(b"XXXX" + raw[4:]))
