@@ -236,15 +236,24 @@ def concentration_bound_optimized(p: LyapunovParams, r0: float, t: float, r: flo
     The log of the bound is convex in delta. With u = 1/(1 - delta),
     a = r0^2 / R and c = r^2 / (R e^(lam t)), its derivative vanishes where
     a u^2 + nu u = c; the positive root is u = 2c / (nu + sqrt(nu^2 + 4ac)),
-    and delta = 1 - 1/u is clipped to the interval. log_value is reported
-    alongside since the value itself underflows for large r.
+    and delta = 1 - 1/u is clipped to the interval. Inside it, with
+    eps = u - 1 = 4c(c - nu - a) / ((2c - nu + S)(nu + S)), S = sqrt(nu^2 + 4ac),
+    the log at the root is (nu/2)(log1p(eps) - eps) - (a/2) eps^2, free of the
+    cancellation of the log at a small delta. log_value is reported alongside
+    since the value itself underflows for large r.
     """
     R, growth = _concentration_radial(p, t, r)
-    a, c = r0 * r0 / R, r * r / growth
-    u = 2.0 * c / (p.nu + math.sqrt(p.nu * p.nu + 4.0 * a * c))
-    # u >= 1e12, or NaN where r^2 overflows, puts the minimum at the top of the interval
-    delta = 0.0 if u <= 1.0 else (1.0 - 1.0 / u if u < 1e12 else 1.0 - 1e-12)
-    logv = _concentration_log(p, r0, r, R, growth, delta)
+    a, c, nu = r0 * r0 / R, r * r / growth, p.nu
+    S = math.sqrt(nu * nu + 4.0 * a * c)
+    eps = 0.0 if c <= nu + a else 4.0 * c * (c - nu - a) / ((2.0 * c - nu + S) * (nu + S))
+    if not eps < 1e12 - 1.0:  # u >= 1e12, or NaN where r^2 overflows: the top of the interval
+        delta = 1.0 - 1e-12
+        logv = _concentration_log(p, r0, r, R, growth, delta)
+    elif eps <= 0.0:
+        delta, logv = 0.0, 0.0
+    else:  # log1p(eps) - eps from its series where the difference cancels
+        gap = math.log1p(eps) - eps if eps >= 0.01 else -eps * eps * sum((-eps) ** k / (k + 2) for k in range(10))
+        delta, logv = eps / (1.0 + eps), nu / 2.0 * gap - a / 2.0 * eps * eps
     return OptimizedBound(delta=delta, value=_exp_sat(logv), log_value=logv)
 
 

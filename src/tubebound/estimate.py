@@ -57,55 +57,42 @@ def _draw_blocks(s: Scenario, t: float, n: int, seed: int, partitions: int) -> I
             yield sample_distances(s, t, rng, min(_DRAW_BLOCK, size - done))
 
 
-def _mc_reduce(
-    s: Scenario,
-    t: float,
-    n: int,
-    seed: int,
-    partitions: int,
-    transform: Callable[[np.ndarray], np.ndarray],
-) -> tuple[float, float, int]:
-    """Mean/stderr of transform(r) over n exact draws; returns overflow count."""
-    total = 0.0
-    total_sq = 0.0
+def mc_mean(
+    s: Scenario, t: float, n: int, seed: int, fn: Callable[[np.ndarray], np.ndarray], partitions: int = 1
+) -> MCEstimate:
+    """Mean of fn(r_N(X_t)) over n exact endpoint draws, with its standard error.
+
+    Values of fn that are not finite (an overflow) are dropped and counted
+    in the `overflow` field as a heavy-tail warning; a sum of squares that
+    overflows makes the stderr inf.
+    """
+    if n < 100:
+        raise DomainError(f"need n >= 100, got {n}")
+    total = total_sq = 0.0
     kept = 0
-    dropped = 0
     for draws in _draw_blocks(s, t, n, seed, partitions):
-        vals = transform(draws)
-        finite = np.isfinite(vals)
-        dropped += int(vals.size - np.count_nonzero(finite))
-        vals = vals[finite]
+        with np.errstate(over="ignore"):  # an overflow is counted below, and inf stderr is the honest answer
+            vals = fn(draws)
+            vals = vals[np.isfinite(vals)]
+            total_sq += float(np.sum(vals * vals))
         kept += vals.size
         total += float(np.sum(vals))
-        with np.errstate(over="ignore"):  # inf stderr is the honest heavy-tail answer
-            total_sq += float(np.sum(vals * vals))
     if kept == 0:
-        raise DomainError(f"all {n} draws overflowed the exp guard; no estimate possible")
+        raise DomainError(f"all {n} values were not finite; no estimate possible")
     mean = total / kept
-    var = max(total_sq - kept * mean * mean, 0.0) / max(kept - 1, 1)
-    return mean, math.sqrt(var / kept), dropped
+    var = max(total_sq - kept * mean * mean, 0.0) / max(kept - 1, 1) if math.isfinite(total_sq) else math.inf
+    return MCEstimate(mean, math.sqrt(var / kept), n, seed, partitions, n - kept)
 
 
-def mc_moment(
-    s: Scenario, p: int, t: float, n: int, seed: int, partitions: int = 1
-) -> MCEstimate:
+def mc_moment(s: Scenario, p: int, t: float, n: int, seed: int, partitions: int = 1) -> MCEstimate:
     """Mean of r_N(X_t)^(2p) over n exact endpoint draws."""
     if p < 1:
         raise DomainError(f"p must be a positive integer, got {p}")
-    if n < 100:
-        raise DomainError(f"need n >= 100, got {n}")
-    mean, stderr, _ = _mc_reduce(s, t, n, seed, partitions, lambda r: r ** (2 * p))
-    return MCEstimate(mean=mean, stderr=stderr, n=n, seed=seed, partitions=partitions)
+    return mc_mean(s, t, n, seed, lambda r: r ** (2 * p), partitions)
 
 
 def mc_exp_moment(
-    s: Scenario,
-    theta: float,
-    t: float,
-    square: bool,
-    n: int,
-    seed: int,
-    partitions: int = 1,
+    s: Scenario, theta: float, t: float, square: bool, n: int, seed: int, partitions: int = 1
 ) -> MCEstimate:
     """Mean of exp(theta r) or exp(theta r^2 / 2) over n exact endpoint draws.
 
@@ -114,17 +101,12 @@ def mc_exp_moment(
     """
     if theta < 0.0:
         raise DomainError(f"theta must be non-negative, got {theta}")
-    if n < 100:
-        raise DomainError(f"need n >= 100, got {n}")
 
-    def transform(r: np.ndarray) -> np.ndarray:
+    def fn(r: np.ndarray) -> np.ndarray:
         expo = theta * r * r / 2.0 if square else theta * r
-        return np.where(expo <= _EXP_GUARD, np.exp(np.minimum(expo, _EXP_GUARD)), np.inf)
+        return np.exp(np.where(expo <= _EXP_GUARD, expo, np.inf))
 
-    mean, stderr, dropped = _mc_reduce(s, t, n, seed, partitions, transform)
-    return MCEstimate(
-        mean=mean, stderr=stderr, n=n, seed=seed, partitions=partitions, overflow=dropped
-    )
+    return mc_mean(s, t, n, seed, fn, partitions)
 
 
 def path_functional(s: Scenario, dt: float, T: float, n: int, seed: int, fn: PathFn) -> np.ndarray:

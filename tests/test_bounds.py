@@ -588,9 +588,13 @@ def test_concentration_optimized_no_worse_than_grid():
     t=st.floats(0.05, 3.0),
     r=st.floats(0.1, 10.0),
 )
+@example(nu=2.0, lam=0.0, r0=0.0, t=2.0, r=2.00001)  # a minimum near delta = 0, where the log cancels
 @settings(max_examples=300, deadline=None)
 def test_concentration_optimized_no_worse_than_bounded_search(nu, lam, r0, t, r):
     # the paper's log bound, minimised over [0, 1 - 1e-12] by scipy's bounded Brent search
+    # and read exactly (mpmath at 40 digits) at the search's delta and at delta = 0
+    import mpmath as mp
+
     p = LyapunovParams(nu=nu, lam=lam)
     R, growth = radial_R(lam, t), radial_R(-lam, t)
 
@@ -599,7 +603,11 @@ def test_concentration_optimized_no_worse_than_bounded_search(nu, lam, r0, t, r)
 
     res = optimize.minimize_scalar(log_bound, bounds=(0.0, 1.0 - 1e-12), method="bounded",
                                    options={"xatol": 1e-12})
-    best = min(res.fun, log_bound(0.0))  # the bounded search never evaluates delta = 0 itself
+    with mp.workdps(40):
+        d = mp.mpf(res.x)
+        at_search = -(mp.mpf(nu) / 2) * mp.log1p(-d) + mp.mpf(r0) ** 2 * d / (2 * mp.mpf(R) * (1 - d)) \
+            - d * mp.mpf(r) ** 2 / (2 * mp.mpf(growth))
+        best = float(min(at_search, 0))  # the log bound is 0 at delta = 0, which the search never evaluates
     opt = concentration_bound_optimized(p, r0, t, r)
     assert 0.0 <= opt.delta <= 1.0 - 1e-12
     assert opt.log_value <= best + 1e-12 * abs(best)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -284,3 +285,10 @@ def test_verify_quick_all_pass(capsys):
     assert rc == 0
     assert out.count("PASS") == 15
     assert "15/15 criteria passed" in out
+    # the Monte Carlo means that readers parse as mc=<mean>±<stderr>, one per criterion, in fixed point
+    figures = {line.split()[1].rstrip(":"): re.findall(r"\bmc=([-0-9.e]+)±([0-9.e]+)", line)
+               for line in out.splitlines() if line.startswith("PASS")}
+    assert {name for name, found in figures.items() if found} == {
+        "h3-second-moment", "h3-exp-moment", "h3-off-pole", "circle-cut-locus-local-time", "feynman-kac-quadratic"}
+    for found in figures.values():
+        assert len(found) <= 1 and all(re.fullmatch(r"-?\d+\.\d+", x) for pair in found for x in pair)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,11 +15,11 @@ from tubebound.errors import DomainError
 from tubebound.estimate import (
     _DRAW_BLOCK,
     MCEstimate,
-    _mc_reduce,
     estimates_to_csv,
     _bridge_crossing,
     bridge_local_time,
     mc_exp_moment,
+    mc_mean,
     mc_moment,
     mc_path_mean,
     occupation_local_time_extrapolated,
@@ -83,8 +84,23 @@ def test_mc_reduce_consumes_each_stream_in_draw_blocks():
             hits += int(np.count_nonzero(draws >= 2.5))
     mean = total / n
     stderr = math.sqrt(max(total_sq - n * mean * mean, 0.0) / (n - 1) / n)
-    assert _mc_reduce(s, t, n, seed, 2, lambda r: r**2) == (mean, stderr, 0)
+    assert mc_mean(s, t, n, seed, lambda r: r**2, 2) == MCEstimate(mean, stderr, n, seed, 2, 0)
     assert tail_prob(s, 2.5, t, False, n, None, seed, 2).mean == hits / n
+
+
+def test_mc_moment_counts_overflowed_draws():
+    # r^400 overflows for r above about 5.9, which |B_100| mostly is: those draws are
+    # dropped and counted, quietly, and the sum of squares overflows to an inf stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = mc_moment(EuclideanAffine(m=1, n=0), 200, 100.0, 1000, 1)
+    assert 0 < est.overflow < 1000
+    assert math.isfinite(est.mean) and est.stderr == math.inf
+
+
+def test_mc_mean_with_no_finite_value_raises():
+    with pytest.raises(DomainError, match="not finite"):
+        mc_mean(EuclideanAffine(m=3, n=0), 1.0, 100, 1, lambda r: np.full_like(r, np.inf))
 
 
 def test_mc_moment_memory_bounded_whatever_n():
