@@ -101,9 +101,9 @@ def _bold_r(p: LyapunovParams, r0: float, t: float, theta: float) -> float:
 def exp_dist_bound(p: LyapunovParams, r0: float, t: float, theta: float) -> float:
     """Bound on E exp(theta r_N(X_t)), valid for nu >= 2.
 
-    1 + (1 + B^(-1/2)) (1F1(nu/2, 1/2, B) - 1) with
-    B = 12 theta^2 (r0^2 + 2 R(t)) e^(lam t); continuously extended to 1 at B = 0,
-    saturated at 1e300.
+    1 + (1 + B^(-1/2)) (1F1(nu/2, 1/2, B) - 1), B = 12 theta^2 (r0^2 + 2 R(t)) e^(lam t),
+    continuously extended to 1 at B = 0 and saturated at 1e300. At odd nu it is
+    1 + (1 + B^(-1/2)) (e^B P(B) - 1), P of degree (nu-1)/2 with positive coefficients (1 + 2B at nu = 3).
     """
     if p.nu < 2.0:
         raise DomainError(f"exp_dist_bound requires nu >= 2, got nu={p.nu}")

@@ -205,6 +205,8 @@ def _fresh(path: Path) -> Path:
 
 
 def _cmd_curves(args: argparse.Namespace) -> int:
+    if not (args.m >= 2 and args.steps >= 1 and 0.0 < args.t_max < math.inf and 0.0 < args.theta < math.inf):
+        raise DomainError("curves needs --m >= 2 (nu >= 2), --steps >= 1 and finite --t-max, --theta > 0")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     grid = [args.t_max * (k + 1) / args.steps for k in range(args.steps)]

@@ -111,20 +111,28 @@ def laguerre(p: int, alpha: float, z: float) -> float:
 
 
 def kummer(a: float, b: float, z: float) -> float:
-    """Confluent hypergeometric 1F1(a, b, z) = 1 + kummerm1(a, b, z)."""
+    """Confluent hypergeometric 1F1(a, b, z) = 1 + kummerm1(a, b, z), in kummerm1's three regimes."""
     return 1.0 + kummerm1(a, b, z)
 
 
 def kummerm1(a: float, b: float, z: float) -> float:
     """1F1(a, b, z) - 1, free of the cancellation of kummer(a, b, z) - 1 near z = 0.
 
-    Large z (>= 50): Gamma(b)/Gamma(a) e^z z^(a-b) S - 1, S from _large_z_sum. Otherwise the
-    term-ratio series past its leading 1, until a shrinking term is twice below 1e-16 of
-    the sum (z >= 0 or a non-positive integer a). ConvergenceError past float range or at
-    the 1e5-term cap.
+    Terminating (z >= 0, b > 0, n = a - b a non-negative integer as rounded): Kummer's
+    transformation (DLMF 13.2.39) e^z P - 1 = expm1(z) P + (P - 1), P = 1F1(-n, b, -z) a
+    polynomial of degree n. Large z (>= 50): Gamma(b)/Gamma(a) e^z z^(a-b) S - 1, S from
+    _large_z_sum. Otherwise the term-ratio series past its leading 1, until a shrinking term
+    is twice below 1e-16 of the sum. ConvergenceError past float range or at 1e5 terms.
     """
     if b <= 0.0 and b == int(b):
         raise DomainError(f"b must not be a non-positive integer, got {b}")
+    n = a - b
+    if z >= 0.0 and b > 0.0 and n >= 0.0 and float(n).is_integer():
+        pm1 = _series_m1(-n, b, -z)  # all terms positive; P >= 1: 1F1 overflows where e^z does
+        total = (math.expm1(z) if z <= 709.782712893384 else math.inf) * (1.0 + pm1) + pm1
+        if not math.isfinite(total):
+            raise ConvergenceError(f"1F1({a}, {b}, {z}) overflows a float")
+        return total
     s = _large_z_sum(a, b, z)
     if s is not None:
         # the direct product, to a few ulps; e^z in halves, as it can overflow where 1F1 does not
@@ -134,6 +142,11 @@ def kummerm1(a: float, b: float, z: float) -> float:
             raise ConvergenceError(f"1F1({a}, {b}, {z}) overflows a float")
         if total >= 2.0:  # below, 1F1 - 1 would cancel: the series has it exactly
             return total - 1.0
+    return _series_m1(a, b, z)
+
+
+def _series_m1(a: float, b: float, z: float) -> float:
+    # the term-ratio series of 1F1 - 1, for z >= 0 or where a is a non-positive integer
     term, total = 1.0, 0.0  # total: the terms past the leading 1
     small = 0
     for p in range(_KUMMER_CAP):
@@ -159,12 +172,11 @@ def _large_z_sum(a: float, b: float, z: float) -> float | None:
         return None
     if abs((a - b) * math.log(z)) > 350.0 or abs(math.lgamma(b) - math.lgamma(a)) > 350.0:
         return None  # z^(a-b) Gamma(b)/Gamma(a) could leave the normal floats
-    # the part 13.7.2 drops is 0 if b-a is an integer <= 0; else, once its own series
-    # shrinks (z > |a (a-b+1)|), it is ~ Gamma(a)/|Gamma(b-a)| e^-z z^(b-2a) relative
-    if b - a > 0.0 or b - a != int(b - a):
-        lg = math.lgamma(a) - math.lgamma(b - a) - z + (b - 2.0 * a) * math.log(z)
-        if z <= abs(a * (a - b + 1.0)) or lg > math.log(_ASYM_TOL):
-            return None
+    # once its own series shrinks (z > |a (a-b+1)|), the part 13.7.2 drops is ~ Gamma(a)/
+    # |Gamma(b-a)| e^-z z^(b-2a) relative; b-a is no integer <= 0 (kummerm1's polynomial)
+    lg = math.lgamma(a) - math.lgamma(b - a) - z + (b - 2.0 * a) * math.log(z)
+    if z <= abs(a * (a - b + 1.0)) or lg > math.log(_ASYM_TOL):
+        return None
     term = total = 1.0
     for k in range(1, _KUMMER_CAP):
         ratio = (b - a + k - 1) * (k - a) / (k * z)

@@ -255,9 +255,10 @@ def _switch_point(a):
     return hi
 
 
-@pytest.mark.parametrize("a", [1.0, 1.5, 2.5, 5.0])
+@pytest.mark.parametrize("a", [1.0, 2.0, 5.0])
 def test_exp_dist_exact_across_kummer_switch(a):
-    # just below the switch kummer runs the series, just above the expansion
+    # just below the switch kummer runs the series, just above the expansion; an
+    # odd nu never switches (test_kummerm1_terminating_matches_mpmath covers it)
     p = LyapunovParams(nu=2.0 * a, lam=0.0)
     zs = _switch_point(a)
     for z, expansion in ((zs * (1.0 - 1e-6), False), (zs * (1.0 + 1e-6), True)):

@@ -48,10 +48,14 @@ def test_curves_long_horizon_saturates_without_overflow(tmp_path):
     assert float(rows[-1][1]) == 1e300
 
 
-@pytest.mark.parametrize("flags", [["--R", "nan"], ["--theta", "nan"], ["--theta", "inf"]])
+@pytest.mark.parametrize("flags", [
+    ["--R", "nan"], ["--theta", "nan"], ["--theta", "inf"], ["--t-max", "0"], ["--t-max", "-1"],
+    ["--t-max", "nan"], ["--steps", "0"], ["--steps", "-3"], ["--m", "1"], ["--m", "0"], ["--theta", "0"],
+])
 def test_curves_non_finite_parameter_exits_two(flags, tmp_path, capsys):
-    assert cli.main(["curves", *flags, "--steps", "20", "--out", str(tmp_path)]) == 2
+    assert cli.main(["curves", "--steps", "20", *flags, "--out", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not any(p.is_file() for p in tmp_path.rglob("*"))  # rejected before any file is written
 
 
 def test_curves_outputs_byte_identical(tmp_path):

@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special as sps
 
@@ -226,6 +226,32 @@ def test_kummer_explicit_cases_match_mpmath(a, b, z):
 def test_kummerm1_has_no_cancellation_near_zero(a, b, z):
     # kummer(a, b, z) - 1 keeps only ~1e-16 / z of its digits here
     ref = kummer_m1_mpmath(a, b, z)
+    assert abs(kummerm1(a, b, z) - ref) <= 1e-14 * abs(ref)
+
+
+@given(
+    b=st.floats(0.25, 8.0),
+    n=st.integers(0, 12),
+    # from 1e-300, so that 1F1 - 1 ~ n z / b stays a normal float with 14 digits to test
+    z=st.just(0.0) | st.floats(1e-300, 1e-3) | st.floats(1e-300, 2000.0),
+)
+@example(b=0.5, n=0, z=709.78)  # e^z just below float max: finite
+@example(b=0.5, n=1, z=705.0)  # 1411 e^705 is past float max: raises
+# nu = 3 and 5 at the B just either side of z = 50, where a non-terminating
+# a = nu/2 switches from the series to the large-z expansion
+@example(b=0.5, n=1, z=49.99995003119928)
+@example(b=0.5, n=1, z=50.000050031199336)
+@example(b=0.5, n=2, z=49.99995003119928)
+@example(b=0.5, n=2, z=50.000050031199336)
+@settings(max_examples=300, deadline=None)
+def test_kummerm1_terminating_matches_mpmath(b, n, z):
+    # a - b = n: 1F1 is e^z times a polynomial of degree n with positive terms
+    a = b + n
+    ref = kummer_m1_mpmath(a, b, z)
+    if 1 + ref > sys.float_info.max:
+        with pytest.raises(ConvergenceError):
+            kummerm1(a, b, z)
+        return
     assert abs(kummerm1(a, b, z) - ref) <= 1e-14 * abs(ref)
 
 
