@@ -172,8 +172,10 @@ def _large_z_sum(a: float, b: float, z: float) -> float | None:
         return None
     if abs((a - b) * math.log(z)) > 350.0 or abs(math.lgamma(b) - math.lgamma(a)) > 350.0:
         return None  # z^(a-b) Gamma(b)/Gamma(a) could leave the normal floats
+    if b - a <= 0.0 and float(b - a).is_integer():
+        return None  # 1F1 is e^z times a polynomial: kummerm1 sums that instead
     # once its own series shrinks (z > |a (a-b+1)|), the part 13.7.2 drops is ~ Gamma(a)/
-    # |Gamma(b-a)| e^-z z^(b-2a) relative; b-a is no integer <= 0 (kummerm1's polynomial)
+    # |Gamma(b-a)| e^-z z^(b-2a) relative
     lg = math.lgamma(a) - math.lgamma(b - a) - z + (b - 2.0 * a) * math.log(z)
     if z <= abs(a * (a - b + 1.0)) or lg > math.log(_ASYM_TOL):
         return None

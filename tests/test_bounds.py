@@ -255,13 +255,15 @@ def _switch_point(a):
     return hi
 
 
-@pytest.mark.parametrize("a", [1.0, 2.0, 5.0])
+@pytest.mark.parametrize("a", [1.0, 1.5, 2.0, 2.5, 5.0])
 def test_exp_dist_exact_across_kummer_switch(a):
-    # just below the switch kummer runs the series, just above the expansion; an
-    # odd nu never switches (test_kummerm1_terminating_matches_mpmath covers it)
+    # just below the switch kummer runs the series, just above the expansion; an odd nu
+    # (a - 1/2 an integer) sums its polynomial on both sides of z = 50, where a
+    # non-terminating a would switch, and never takes the expansion
     p = LyapunovParams(nu=2.0 * a, lam=0.0)
-    zs = _switch_point(a)
-    for z, expansion in ((zs * (1.0 - 1e-6), False), (zs * (1.0 + 1e-6), True)):
+    odd_nu = float(a - 0.5).is_integer()
+    zs = 50.0 if odd_nu else _switch_point(a)
+    for z, expansion in ((zs * (1.0 - 1e-6), False), (zs * (1.0 + 1e-6), not odd_nu)):
         theta = math.sqrt(z / 24.0)
         B = _bold_r(p, 0.0, 1.0, theta)
         assert (_large_z_sum(a, 0.5, B) is not None) == expansion
