@@ -64,23 +64,27 @@ def mc_mean(
 
     Values of fn that are not finite (an overflow) are dropped and counted
     in the `overflow` field as a heavy-tail warning; a sum of squares that
-    overflows makes the stderr inf.
+    overflows makes the stderr inf. Squares are summed about the first
+    block's mean, so a mean far above the spread does not cancel the variance.
     """
     if n < 100:
         raise DomainError(f"need n >= 100, got {n}")
-    total = total_sq = 0.0
+    total = total_sq = shift = 0.0
     kept = 0
     for draws in _draw_blocks(s, t, n, seed, partitions):
         with np.errstate(over="ignore"):  # an overflow is counted below, and inf stderr is the honest answer
             vals = fn(draws)
             vals = vals[np.isfinite(vals)]
-            total_sq += float(np.sum(vals * vals))
+            shift = float(np.mean(vals)) if kept == 0 and vals.size else shift
+            total_sq += float(np.sum((vals - shift) ** 2))
         kept += vals.size
         total += float(np.sum(vals))
     if kept == 0:
         raise DomainError(f"all {n} values were not finite; no estimate possible")
     mean = total / kept
-    var = max(total_sq - kept * mean * mean, 0.0) / max(kept - 1, 1) if math.isfinite(total_sq) else math.inf
+    gap, var = mean - shift, math.inf
+    if math.isfinite(total_sq) and math.isfinite(mean):
+        var = max(total_sq - kept * gap * gap, 0.0) / max(kept - 1, 1)
     return MCEstimate(mean, math.sqrt(var / kept), n, seed, partitions, n - kept)
 
 
@@ -193,13 +197,15 @@ def tail_prob(
     Point mode counts exact endpoint draws, with the Wilson half-width as
     standard error below 0.05 (no zero-stderr artifacts at rare events).
     Sup mode averages over paths at step dt each one's bridge-crossing
-    probability given its grid (no grid-monitoring bias), unpartitioned (partitions 1).
+    probability given its grid (no grid-monitoring bias), with partitions 1 only.
     """
     if r <= 0.0:
         raise DomainError(f"r must be positive, got {r}")
     if sup_mode:
         if dt is None:
             raise DomainError("sup mode needs a path step dt")
+        if partitions != 1:
+            raise DomainError(f"sup mode runs one stream per path: need partitions 1, got {partitions}")
         return mc_path_mean(s, dt, t, n, seed, lambda v: _bridge_crossing(v, r, dt))
     phat = sum(int(np.count_nonzero(draws >= r)) for draws in _draw_blocks(s, t, n, seed, partitions)) / n
     return MCEstimate(

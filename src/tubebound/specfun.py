@@ -9,13 +9,9 @@ from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
 
-EULER_GAMMA = 0.5772156649015329
-
 _KUMMER_CAP = 100_000
 _KUMMER_TOL = 1e-16
 _ASYM_TOL = 1e-17
-_GAMMA_TOL = 1e-15
-_GAMMA_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -194,74 +190,18 @@ def _large_z_sum(a: float, b: float, z: float) -> float | None:
 def upper_gamma(a: float, x: float) -> float:
     """Upper incomplete gamma Gamma(a, x) = int_x^inf s^(a-1) e^(-s) ds, a, x >= 0.
 
-    Series branch for small x, continued fraction for large x; a = 0 is the
-    exponential integral E1(x) with its own series below x = 1.
+    Gamma(a) Q(a, x) from scipy.special for a > 0 (DLMF 8.2.4); a = 0 is the
+    exponential integral E1(x) (DLMF 6.2.1).
     """
+    from scipy.special import exp1, gammaincc  # here, so that `import tubebound` loads no scipy
+
     if a < 0.0 or x < 0.0:
         raise DomainError(f"need a, x >= 0, got a={a}, x={x}")
     if a == 0.0:
         if x == 0.0:
             raise DomainError("Gamma(0, 0) diverges")
-        if x < 1.0:
-            return _exp1_series(x)
-        return _gamma_cf(0.0, x)
-    if x == 0.0:
-        return math.gamma(a)
-    if x < a + 1.0:
-        # lower-gamma series, then complement
-        return math.gamma(a) * (1.0 - _gamma_p_series(a, x))
-    return _gamma_cf(a, x)
-
-
-def _exp1_series(x: float) -> float:
-    # E1(x) = -gamma - ln x + sum_{k>=1} (-1)^(k+1) x^k / (k k!)
-    total = -EULER_GAMMA - math.log(x)
-    term = 1.0
-    for k in range(1, _GAMMA_CAP):
-        term *= -x / k
-        contrib = -term / k
-        total += contrib
-        if abs(contrib) < _GAMMA_TOL * max(abs(total), 1e-300):
-            return total
-    raise ConvergenceError(f"E1 series failed at x={x}")
-
-
-def _gamma_p_series(a: float, x: float) -> float:
-    # regularized lower incomplete gamma P(a, x) for x < a + 1
-    term = 1.0 / a
-    total = term
-    ap = a
-    for _ in range(_GAMMA_CAP):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _GAMMA_TOL:
-            return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    raise ConvergenceError(f"P(a, x) series failed at a={a}, x={x}")
-
-
-def _gamma_cf(a: float, x: float) -> float:
-    # modified Lentz continued fraction for Gamma(a, x), valid for x >= ~1
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _GAMMA_CAP):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _GAMMA_TOL:
-            return math.exp(-x + a * math.log(x)) * h if a > 0.0 else math.exp(-x) * h
-    raise ConvergenceError(f"Gamma(a, x) continued fraction failed at a={a}, x={x}")
+        return float(exp1(x))
+    return math.gamma(a) * float(gammaincc(a, x))
 
 
 def lemma_laguerre_rhs(p: int, alpha: float, z: float) -> float:

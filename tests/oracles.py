@@ -189,6 +189,14 @@ def upper_gamma_quad(a: float, x: float) -> float:
     return val
 
 
+def upper_gamma_mpmath(a: float, x: float) -> float:
+    """Gamma(a, x) at 40 digits, E1(x) at a = 0, rounded to a float."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        return float(mp.e1(x) if a == 0.0 else mp.gammainc(a, x))
+
+
 def cartesian_distances(s, t: float, rng, size: int) -> np.ndarray:
     """Exact endpoint draws of r_N(X_t) from the whole Gaussian position, the
     Cartesian map the radial sampler replaces: size x d normals scaled by

@@ -264,12 +264,17 @@ def test_bad_flag_exits_two():
     assert err.value.code == 2
 
 
-def test_out_of_domain_bound_request_exits_two(capsys):
+def test_out_of_domain_bound_request_exits_two(tmp_path, capsys):
     # theta t = 2 is past the exp-square explosion; report, not traceback
     rc = cli.main(["mc", "--scenario", "flat", "--m", "1", "--theta", "2.0",
                    "--t", "1", "--n", "500"])
     assert rc == 2
     assert "domain" in capsys.readouterr().err
+    # sup mode runs one stream per path, so it takes no --partitions; nothing is written
+    rc = cli.main(["mc", "--r", "2", "--dt", "0.01", "--n", "200", "--partitions", "400", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "partitions 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_seed_env_var_used(tmp_path, monkeypatch):

@@ -70,22 +70,35 @@ def test_mc_moment_reproducible_bit_for_bit():
 
 def test_mc_reduce_consumes_each_stream_in_draw_blocks():
     # n = 3 blocks + 17 over 2 partitions: each stream gives one full block and
-    # a short one, reduced block by block in order
+    # a short one, reduced block by block in order, squares about the first block's mean
     s, t, seed, n = HyperbolicH3Point(r0=0.7), 1.0, 12, 3 * _DRAW_BLOCK + 17
     total = total_sq = 0.0
+    shift = None
     hits = 0
     for i, size in enumerate((n - n // 2, n // 2)):
         rng = stream(seed, i)
         for k in (_DRAW_BLOCK, size - _DRAW_BLOCK):
             draws = sample_distances(s, t, rng, k)
             sq = draws**2
+            shift = float(np.mean(sq)) if shift is None else shift
             total += float(np.sum(sq))
-            total_sq += float(np.sum(sq * sq))
+            total_sq += float(np.sum((sq - shift) * (sq - shift)))
             hits += int(np.count_nonzero(draws >= 2.5))
     mean = total / n
-    stderr = math.sqrt(max(total_sq - n * mean * mean, 0.0) / (n - 1) / n)
+    gap = mean - shift
+    stderr = math.sqrt(max(total_sq - n * gap * gap, 0.0) / (n - 1) / n)
     assert mc_mean(s, t, n, seed, lambda r: r**2, 2) == MCEstimate(mean, stderr, n, seed, 2, 0)
     assert tail_prob(s, 2.5, t, False, n, None, seed, 2).mean == hits / n
+
+
+def test_mc_mean_stderr_survives_a_mean_far_above_the_spread():
+    # E r^2 = 1e12 with a spread of 2e3 per draw: a one-pass sum of squares less
+    # n mean^2 cancels every digit and read 0.0; the same draws' sample std does not
+    s, t, seed, n = EuclideanAffine(m=3, n=0, r0=1e6), 1e-6, 7, 100_000
+    rng = stream(seed, 0)
+    blocks = [sample_distances(s, t, rng, min(_DRAW_BLOCK, n - k)) for k in range(0, n, _DRAW_BLOCK)]
+    want = float(np.std(np.concatenate(blocks) ** 2, ddof=1)) / math.sqrt(n)
+    assert mc_moment(s, 1, t, n, seed).stderr == pytest.approx(want, rel=0.01)
 
 
 def test_mc_moment_counts_overflowed_draws():
@@ -194,6 +207,28 @@ def test_import_loads_no_scipy(module):
     assert out.stdout.strip() == "[]"
 
 
+def test_mc_and_curves_load_no_scipy(tmp_path):
+    # end to end: the commands behind run_mc_comparison.py and reproduce_bound_curves.py
+    # reach neither lazy scipy.special import (bridge_local_time, upper_gamma)
+    src = os.path.dirname(os.path.dirname(tubebound.__file__))
+    runs = [
+        ["curves", "--steps", "20", "--out", str(tmp_path)],
+        ["mc", "--n", "200"],
+        ["mc", "--n", "200", "--theta", "0.1"],
+        ["mc", "--n", "200", "--r", "2"],
+        ["mc", "--n", "200", "--r", "2", "--dt", "0.01"],
+    ]
+    code = (
+        "import sys; from tubebound import cli\n"
+        f"for argv in {runs!r}:\n"
+        "    assert cli.main(argv) in (0, 1), argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
 def test_master_verification_property():
     # estimate - 3 stderr never exceeds the corresponding bound
     from tubebound.bounds import even_moment_bound, exp_sq_bound, radial_R
@@ -255,10 +290,12 @@ def test_tail_prob_rare_event_stderr_positive():
 
 
 def test_tail_prob_sup_mode_reports_the_partitions_it_used():
-    # sup mode runs one path per stream whatever `partitions` says
+    # sup mode runs one path per stream: it records partitions 1 and rejects any other
     args = (EuclideanAffine(m=1, n=0), 2.0, 1.0, True, 500, 1e-2)
-    one, three = tail_prob(*args, seed=65), tail_prob(*args, seed=65, partitions=3)
-    assert (three.mean, three.stderr, three.partitions) == (one.mean, one.stderr, 1)
+    assert tail_prob(*args, seed=65).partitions == 1
+    for partitions in (0, 3, 400):
+        with pytest.raises(DomainError, match="partitions 1"):
+            tail_prob(*args, seed=65, partitions=partitions)
 
 
 def test_tail_prob_sup_needs_dt():
