@@ -5,8 +5,8 @@ Draw-based estimators split n over `partitions` independent streams, draw
 each stream in blocks of _DRAW_BLOCK and reduce partial sums in fixed
 order, so results are bit-reproducible for a given (seed, partitions)
 and bounded in memory whatever n; they run on one thread. Path-based ones
-give path k stream k and run their blocks of paths on a thread pool, so
-neither batching nor the worker count changes them.
+run sample_paths' blocks of paths, each from its own stream, on a thread
+pool, so neither n nor the worker count changes path k.
 """
 from __future__ import annotations
 
@@ -19,12 +19,10 @@ import numpy as np
 
 from .errors import DomainError
 from .modelspaces import CirclePoint, Scenario
-from .simulate import PathSample, grid_steps, sample_distances, sample_paths, stream
+from .simulate import PathSample, block_rows, grid_steps, sample_distances, sample_paths, stream
 
 _EXP_GUARD = 700.0
-_PATH_BLOCK = 1 << 16  # path values in flight, rows x (steps + 1) over all workers
-# at most 4, so a block keeps 2^14 values (16 paths at dt 1e-3): smaller blocks
-# lost more to per-block overhead than extra threads won back
+# at most 4, so at most 4 blocks of simulate._PATH_BLOCK path values are in flight
 _WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 _DRAW_BLOCK = 1 << 15  # endpoint draws per block: under 2 MB of arrays per call whatever n
 PathFn = Callable[[np.ndarray], np.ndarray]
@@ -117,14 +115,14 @@ def path_functional(s: Scenario, dt: float, T: float, n: int, seed: int, fn: Pat
     """fn over paths 0..n-1 of `seed` (see sample_paths), in blocks of rows.
 
     fn maps a (rows, steps + 1) block of paths to an array whose first axis
-    has one entry per row; the entries are returned in path order. Blocks
-    run on _WORKERS threads (numpy releases the GIL) and each holds at most
-    _PATH_BLOCK // _WORKERS values (at least one row), so memory stays
-    bounded whatever n and the result has the same bits for any worker count.
+    has one entry per row; the entries are returned in path order. The blocks
+    are sample_paths' own (block_rows paths, one stream each), run on _WORKERS
+    threads (numpy releases the GIL), so memory stays bounded whatever n and
+    the result has the same bits for any n and worker count.
     """
     if n < 1:
         raise DomainError(f"need n >= 1 paths, got {n}")
-    rows = max(1, _PATH_BLOCK // _WORKERS // (grid_steps(dt, T) + 1))
+    rows = block_rows(grid_steps(dt, T))
     block = lambda i: fn(sample_paths(s, dt, T, seed, i, min(rows, n - i)))
     from concurrent.futures import ThreadPoolExecutor  # here, so that `import tubebound` stays lean
 
@@ -205,7 +203,7 @@ def tail_prob(
         if dt is None:
             raise DomainError("sup mode needs a path step dt")
         if partitions != 1:
-            raise DomainError(f"sup mode runs one stream per path: need partitions 1, got {partitions}")
+            raise DomainError(f"sup mode runs one stream per block of paths: need partitions 1, got {partitions}")
         return mc_path_mean(s, dt, t, n, seed, lambda v: _bridge_crossing(v, r, dt))
     phat = sum(int(np.count_nonzero(draws >= r)) for draws in _draw_blocks(s, t, n, seed, partitions)) / n
     return MCEstimate(

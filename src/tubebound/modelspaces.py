@@ -232,8 +232,10 @@ def revuz_mean_local_time(s: Scenario, t: float) -> Optional[float]:
     """Mean local time E[L^N_t] where the Revuz route gives a closed form.
 
     Sphere shell in R^m from the centre: radius * Gamma(m/2-1, radius^2/2t) /
-    Gamma(m/2). Circle point: the wrapped-Gaussian kernel at distance r0
-    integrated over [0, t] image by image, each image at distance x giving
+    Gamma(m/2), that is radius * Q(m/2-1, radius^2/2t) / (m/2-1) for m > 2,
+    free of Gamma(m/2)'s overflow, and radius * E1(radius^2/2t) at m = 2.
+    Circle point: the wrapped-Gaussian kernel at distance r0 integrated over
+    [0, t] image by image, each image at distance x giving
     sqrt(2t/pi) e^{-x^2/2t} - x erfc(x / sqrt(2t)).
     """
     if not t > 0.0:
@@ -241,7 +243,11 @@ def revuz_mean_local_time(s: Scenario, t: float) -> Optional[float]:
     if isinstance(s, SphereInEuclidean):
         a = s.m / 2.0 - 1.0
         x = s.radius**2 / (2.0 * t)
-        return s.radius * upper_gamma(a, x) / math.gamma(s.m / 2.0)
+        if a == 0.0:
+            return s.radius * upper_gamma(a, x)
+        from scipy.special import gammaincc  # here, so that `import tubebound` loads no scipy
+
+        return s.radius * float(gammaincc(a, x)) / a
     if isinstance(s, CirclePoint):
         rt = math.sqrt(2.0 * t)
         peak = rt / math.sqrt(math.pi)

@@ -10,16 +10,18 @@ a r0. Endpoints need only the norm of a Gaussian position, which by
 rotation invariance takes one normal and one chi-square (sample_distances;
 one normal on the circle); paths keep the positions themselves.
 
-Random streams are counter-based: stream(seed, k) is the Philox generator
-jumped k blocks, so path k is reproducible independently of how many
-workers, or rows of a block, consume the path range.
+Random streams are counter-based: stream(seed, b) is the Philox generator
+jumped b blocks. Paths come in blocks of block_rows(steps) consecutive
+paths, block b drawn in one call from stream(seed, b), so path k is
+reproducible whatever the number of paths, the workers or the range that
+consume it.
 """
 from __future__ import annotations
 
 import math
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Sequence
+from typing import BinaryIO
 
 import numpy as np
 
@@ -34,6 +36,7 @@ from .modelspaces import (
 
 DUMP_MAGIC = b"TBND"
 DUMP_VERSION = 1
+_PATH_BLOCK = 1 << 16  # path values, rows x (steps + 1), of a block of sample_paths
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
@@ -126,14 +129,16 @@ def sample_paths(s: Scenario, dt: float, T: float, seed: int, start: int, count:
     """Paths start..start+count-1 of r_N(X) on the grid k*dt, one per row,
     exact at grid times on every scenario.
 
-    Row j draws only from stream(seed, start + j), whatever else shares the
-    block: its Gaussian increments, then (H^3 off the pole) its start.
+    Path k is row k mod R of block k // R, R = block_rows(steps), and block b
+    draws from stream(seed, b) alone: (H^3 off the pole) its R starts, then
+    its Gaussian increments. So path k has the same bits whatever start and
+    count ask for it.
     """
     steps = grid_steps(dt, T)
     if count < 1:
         raise DomainError(f"count must be positive, got {count}")
     if not 0 <= start <= 2**63 - count:
-        raise DomainError(f"stream indices must lie in [0, 2**63), got {start}..{start + count - 1}")
+        raise DomainError(f"path indices must lie in [0, 2**63), got {start}..{start + count - 1}")
     rows = (seed, range(start, start + count))
     if isinstance(s, HyperbolicH3Point):
         return _h3_walk(s.kappa, s.r0, dt, steps, rows)
@@ -150,8 +155,14 @@ def sample_paths(s: Scenario, dt: float, T: float, seed: int, start: int, count:
     raise TypeError(f"unknown scenario {s!r}")
 
 
-def _h3_walk(kappa: float, r0: float, dt: float, steps: int, rows: tuple[int, Sequence[int]]) -> np.ndarray:
-    """sample_paths on H^3 from r0, rows = (seed, stream indices); the benchmark times this name."""
+def block_rows(steps: int) -> int:
+    """Paths per block of sample_paths on a grid of `steps` steps: _PATH_BLOCK
+    path values, or one path when a path alone is longer."""
+    return max(1, _PATH_BLOCK // (steps + 1))
+
+
+def _h3_walk(kappa: float, r0: float, dt: float, steps: int, rows: tuple[int, range]) -> np.ndarray:
+    """sample_paths on H^3 from r0, rows = (seed, path indices); the benchmark times this name."""
     a = math.sqrt(-kappa)
     starts = np.empty((len(rows[1]), 1, 2))
     pos = _gaussian_paths(rows, steps, 3, dt, starts[:, 0] if r0 > 0.0 else None)
@@ -166,22 +177,26 @@ def _h3_walk(kappa: float, r0: float, dt: float, steps: int, rows: tuple[int, Se
     return _radius(pos)
 
 
-def _gaussian_paths(rows: tuple[int, Sequence[int]], steps: int, d: int, dt: float, starts=None) -> np.ndarray:
-    # Brownian positions from 0, shape (paths, steps + 1, d); row j is drawn in
-    # place from stream(seed, ks[j]), as standard_normal((steps, d)) would, then
-    # its start uniforms into starts[j]. Re-keying one Philox (counter [0, 0, k,
-    # 0], empty buffer) gives stream()'s bits without its fresh SeedSequence.
-    seed, ks = rows
-    bits = np.random.Philox(key=np.uint64(seed))
-    fresh, rng = bits.state, np.random.Generator(bits)
-    pos = np.empty((len(ks), steps + 1, d))
-    pos[:, 0] = 0.0
-    for j, k in enumerate(ks):
-        fresh["state"]["counter"][2] = k
-        bits.state = fresh
-        rng.standard_normal(out=pos[j, 1:])
+def _gaussian_paths(rows: tuple[int, range], steps: int, d: int, dt: float, starts=None) -> np.ndarray:
+    # Brownian positions from 0, shape (paths, steps + 1, d), for the paths in
+    # rows = (seed, range). Block b draws from stream(seed, b) all R start pairs
+    # (into starts, if given), then standard_normal((R, steps + 1, d)) with step
+    # 0 zeroed; that fills in C order, so the rows up to the last one needed are
+    # a prefix of it, drawn in place; rows before the first one needed are dropped.
+    seed, paths = rows
+    R, first, stop = block_rows(steps), paths.start, paths.stop
+    pos = np.empty((len(paths), steps + 1, d))
+    for b in range(first // R, (stop - 1) // R + 1):
+        lo, hi = max(first - b * R, 0), min(stop - b * R, R)
+        at = b * R + lo - first
+        rng = stream(seed, b)
         if starts is not None:
-            rng.random(out=starts[j])
+            starts[at : at + hi - lo] = rng.random((R, 2))[lo:hi]
+        if lo:
+            pos[at : at + hi - lo] = rng.standard_normal((hi, steps + 1, d))[lo:]
+        else:
+            rng.standard_normal(out=pos[at : at + hi])
+    pos[:, 0] = 0.0
     pos *= math.sqrt(dt)
     return np.cumsum(pos, axis=1, out=pos)
 

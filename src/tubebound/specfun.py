@@ -5,6 +5,7 @@ Everything here is a pure function of its arguments; no shared state.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
@@ -190,8 +191,10 @@ def _large_z_sum(a: float, b: float, z: float) -> float | None:
 def upper_gamma(a: float, x: float) -> float:
     """Upper incomplete gamma Gamma(a, x) = int_x^inf s^(a-1) e^(-s) ds, a, x >= 0.
 
-    Gamma(a) Q(a, x) from scipy.special for a > 0 (DLMF 8.2.4); a = 0 is the
-    exponential integral E1(x) (DLMF 6.2.1).
+    Gamma(a) Q(a, x) from scipy.special for a > 0 (DLMF 8.2.4), through
+    exp(lgamma(a) + log Q) where Gamma(a) overflows (a > 171.6); a = 0 is the
+    exponential integral E1(x) (DLMF 6.2.1). Raises DomainError where the
+    value overflows, or where Gamma(a) overflows and Q underflows.
     """
     from scipy.special import exp1, gammaincc  # here, so that `import tubebound` loads no scipy
 
@@ -201,7 +204,17 @@ def upper_gamma(a: float, x: float) -> float:
         if x == 0.0:
             raise DomainError("Gamma(0, 0) diverges")
         return float(exp1(x))
-    return math.gamma(a) * float(gammaincc(a, x))
+    q = float(gammaincc(a, x))
+    try:
+        return math.gamma(a) * q
+    except OverflowError:
+        pass
+    if q < sys.float_info.min:
+        raise DomainError(f"Gamma({a}, {x}) is out of reach: Gamma(a) overflows and Q(a, x) = {q} underflows")
+    try:
+        return math.exp(math.lgamma(a) + math.log(q))
+    except OverflowError:
+        raise DomainError(f"Gamma({a}, {x}) overflows") from None
 
 
 def lemma_laguerre_rhs(p: int, alpha: float, z: float) -> float:

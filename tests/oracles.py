@@ -197,6 +197,15 @@ def upper_gamma_mpmath(a: float, x: float) -> float:
         return float(mp.e1(x) if a == 0.0 else mp.gammainc(a, x))
 
 
+def sphere_mean_local_time_mpmath(m: int, radius: float, t: float) -> float:
+    """radius Gamma(m/2 - 1, radius^2/2t) / Gamma(m/2) at 40 digits, rounded to a float."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        half = mp.mpf(m) / 2
+        return float(radius * mp.gammainc(half - 1, mp.mpf(radius) ** 2 / (2 * mp.mpf(t))) / mp.gamma(half))
+
+
 def cartesian_distances(s, t: float, rng, size: int) -> np.ndarray:
     """Exact endpoint draws of r_N(X_t) from the whole Gaussian position, the
     Cartesian map the radial sampler replaces: size x d normals scaled by
@@ -226,22 +235,25 @@ def cartesian_distances(s, t: float, rng, size: int) -> np.ndarray:
     raise TypeError(f"no Cartesian map for {s!r}")
 
 
-def gaussian_distance_path(kind: str, d: int, r0: float, dt: float, steps: int, rng) -> np.ndarray:
-    """One exact distance path drawn the one-path way: the increments as a
-    (steps, d) block, positions by cumsum, distance by np.linalg.norm.
+def gaussian_distance_block(kind: str, d: int, r0: float, dt: float, steps: int, rows: int, rng) -> np.ndarray:
+    """The first `rows` exact distance paths of a block of paths, drawn the
+    block way: one standard_normal((rows, steps + 1, d)) call, step 0 zeroed,
+    scaled by sqrt(dt), positions by cumsum over the steps, distance by
+    np.linalg.norm.
 
     kind is "flat" (distance to the origin from r0 e1), "sphere" (distance
     to the sphere of radius r0 from the centre) or "circle" (d = 1, angle
     wrapped to [0, pi] from r0).
     """
-    inc = math.sqrt(dt) * rng.standard_normal((steps, d))
-    pos = np.vstack([np.zeros((1, d)), np.cumsum(inc, axis=0)])
+    inc = rng.standard_normal((rows, steps + 1, d))
+    inc[:, 0] = 0.0
+    pos = np.cumsum(math.sqrt(dt) * inc, axis=1)
     if kind == "circle":
-        return np.abs(np.mod(r0 + pos[:, 0] + math.pi, 2.0 * math.pi) - math.pi)
+        return np.abs(np.mod(r0 + pos[..., 0] + math.pi, 2.0 * math.pi) - math.pi)
     if kind == "sphere":
-        return np.abs(np.linalg.norm(pos, axis=1) - r0)
-    pos[:, 0] += r0
-    return np.linalg.norm(pos, axis=1)
+        return np.abs(np.linalg.norm(pos, axis=2) - r0)
+    pos[..., 0] += r0
+    return np.linalg.norm(pos, axis=2)
 
 
 def circle_mean_local_time_quad(d: float, t: float) -> float:

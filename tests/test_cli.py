@@ -134,7 +134,7 @@ def test_mc_csv_byte_identical(tmp_path):
 RERUN_COMMANDS = [
     ["curves", "--R", "-1", "0", "--steps", "40"],
     ["mc", "--scenario", "h3", "--t", "0.5", "--n", "2000", "--partitions", "2"],
-    ["localtime", "--scenario", "sphere", "--n", "50", "--dt", "1e-2", "--dump-paths"],
+    ["localtime", "--scenario", "sphere", "--n", "2000", "--dt", "1e-2", "--dump-paths"],
 ]
 
 
@@ -270,7 +270,7 @@ def test_out_of_domain_bound_request_exits_two(tmp_path, capsys):
                    "--t", "1", "--n", "500"])
     assert rc == 2
     assert "domain" in capsys.readouterr().err
-    # sup mode runs one stream per path, so it takes no --partitions; nothing is written
+    # sup mode runs one stream per block of paths, so it takes no --partitions; nothing is written
     rc = cli.main(["mc", "--r", "2", "--dt", "0.01", "--n", "200", "--partitions", "400", "--out", str(tmp_path)])
     assert rc == 2
     assert "partitions 1" in capsys.readouterr().err

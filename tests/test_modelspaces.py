@@ -30,6 +30,7 @@ from oracles import (
     flat_radial_moment_gh,
     h3_mgf_quad,
     h3_moment_quad,
+    sphere_mean_local_time_mpmath,
 )
 
 
@@ -301,6 +302,14 @@ def test_sphere_mean_local_time_value():
 def test_sphere_mean_local_time_vanishes_at_zero_time():
     got = revuz_mean_local_time(SphereInEuclidean(m=3, radius=1.0), 1e-8)
     assert got == pytest.approx(0.0, abs=1e-12)
+
+
+def test_sphere_mean_local_time_past_gamma_overflow():
+    # Gamma(m/2) overflows from m = 344; the mean is radius Q(m/2 - 1, x) / (m/2 - 1)
+    for m in (344, 400, 1000):
+        for radius, t in ((1.0, 1.0), (2.0, 0.01), (30.0, 1.0)):
+            want = sphere_mean_local_time_mpmath(m, radius, t)
+            assert revuz_mean_local_time(SphereInEuclidean(m=m, radius=radius), t) == pytest.approx(want, rel=1e-12)
 
 
 def test_sphere_gamma_zero_misuse():

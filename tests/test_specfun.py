@@ -305,6 +305,14 @@ def test_upper_gamma_against_mpmath():
             assert upper_gamma(a, x) == pytest.approx(upper_gamma_mpmath(a, x), rel=1e-12)
 
 
+def test_upper_gamma_past_gamma_overflow():
+    # Gamma(200) = 3.9e372 leaves the floats; Gamma(200, 1000) = 6.3e162 does not
+    assert upper_gamma(200.0, 1000.0) == pytest.approx(upper_gamma_mpmath(200.0, 1000.0), rel=1e-12)
+    for x in (10.0, 5000.0):  # Gamma(200, x) = 3.9e372 and 4.4e-1436
+        with pytest.raises(DomainError):
+            upper_gamma(200.0, x)
+
+
 def test_upper_gamma_divergent_corner():
     with pytest.raises(DomainError):
         upper_gamma(0.0, 0.0)
