@@ -39,7 +39,6 @@ from .modelspaces import (
     SphereInEuclidean,
     exact_exp_moment,
     exact_moment,
-    heat_kernel,
     lyapunov_params,
     revuz_mean_local_time,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "exp_sq_bound",
     "explosion_time",
     "feynman_kac_bound",
-    "heat_kernel",
     "kummer",
     "laguerre",
     "logsob_bound",

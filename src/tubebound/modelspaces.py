@@ -1,10 +1,13 @@
 """Model-space scenarios with exact laws.
 
-Each scenario is an (ambient space, submanifold, start point) triple for
-which some combination of Lyapunov pair, heat kernel, radial moments,
-exponential moments and mean local time is available in closed form.
-Operations return None where no closed form exists; that is a typed
-"unavailable" answer, not a failure. SCENARIOS maps each kind to its class.
+Each scenario is an (ambient space M, submanifold N, start point) triple,
+described in one place: its _geometry (m, n, kappa, rho, cut) = (dim M, dim N,
+the curvature of M, negative only where n = 0, the outer radius of curvature
+of N, the distance to the cut locus). The Lyapunov pair, (1/2) Lap r_N^2 and
+the Gaussian law of r_N(X_t) all follow from it; radial moments, exponential
+moments and the mean local time follow where closed forms exist. Operations
+return None where no closed form exists; that is a typed "unavailable"
+answer, not a failure. SCENARIOS maps each kind to its class.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from dataclasses import dataclass, fields
 from typing import ClassVar, Optional, Union
 
 from .errors import DomainError
-from .specfun import laguerre, upper_gamma
+from .specfun import comparison, laguerre, upper_gamma
 
 
 @dataclass(frozen=True)
@@ -21,6 +24,7 @@ class EuclideanAffine:
     """R^m with N an affine subspace of dimension n; distance starts at r0."""
 
     kind: ClassVar[str] = "flat"
+    _geometry = property(lambda s: (s.m, s.n, 0.0, math.inf, math.inf))
     m: int = 3
     n: int = 0
     r0: float = 0.0
@@ -37,6 +41,7 @@ class CirclePoint:
     """Unit circle with N a single point at arc distance r0 from the start."""
 
     kind: ClassVar[str] = "circle"
+    _geometry: ClassVar[tuple] = (1, 0, 0.0, math.inf, math.pi)
     r0: float = 0.0
 
     def __post_init__(self):
@@ -49,6 +54,7 @@ class HyperbolicH3Point:
     """3-dimensional hyperbolic space of curvature kappa < 0, N = start point."""
 
     kind: ClassVar[str] = "h3"
+    _geometry = property(lambda s: (3, 0, s.kappa, math.inf, math.inf))
     kappa: float = -1.0
     r0: float = 0.0
 
@@ -64,6 +70,7 @@ class SphereInEuclidean:
     """R^m with N the sphere of the given radius; the walk starts at the centre."""
 
     kind: ClassVar[str] = "sphere"
+    _geometry = property(lambda s: (s.m, s.m - 1, 0.0, s.radius, math.inf))
     m: int = 2
     radius: float = 1.0
 
@@ -99,54 +106,44 @@ class LyapunovParams:
 
 
 def lyapunov_params(s: Scenario) -> LyapunovParams:
-    """Lyapunov pair for a scenario.
+    """Lyapunov pair for a scenario, from its geometry (m, n, kappa, rho, cut).
 
-    Affine case is an identity with nu = m - n. The hyperbolic point uses the
-    Ricci-based quadratic estimate with lower bound R = 2 kappa, giving
-    nu = 3, lam = -2 kappa / 3. The sphere absorbs its mean-curvature linear
-    term c*r <= c(1 + r^2)/2 with c = (m-1)/radius.
+    Off the cut locus and N's inner side, with x = sqrt(-kappa) r (Heintze &
+    Karcher 1978; see radial_laplacian_half_sq),
+        (1/2) Lap r^2 = 1 + (m - n - 1) x coth x + n r / (rho + r),
+    and x coth x <= 1 + x^2/3, n r / (rho + r) <= c r <= c (1 + r^2)/2 with
+    c = n / rho give
+        nu = m - n + c/2,    lam = c/2 - (m - n - 1) kappa / 3.
+    Both steps are equalities iff kappa = 0 and rho = inf; the moment bounds
+    are then attained (exact) unless a cut locus is met (cut < inf).
     """
-    if isinstance(s, EuclideanAffine):
-        return LyapunovParams(nu=float(s.m - s.n), lam=0.0, exact=True)
-    if isinstance(s, CirclePoint):
-        return LyapunovParams(nu=1.0, lam=0.0, exact=False)
-    if isinstance(s, HyperbolicH3Point):
-        return LyapunovParams(nu=3.0, lam=-2.0 * s.kappa / 3.0, exact=False)
-    if isinstance(s, SphereInEuclidean):
-        c = (s.m - 1) / s.radius
-        return LyapunovParams(nu=1.0 + c / 2.0, lam=c / 2.0, exact=False)
-    raise TypeError(f"unknown scenario {s!r}")
+    m, n, kappa, rho, cut = s._geometry
+    c = n / rho
+    exact = kappa == 0.0 and rho == cut == math.inf
+    return LyapunovParams(nu=m - n + c / 2.0, lam=c / 2.0 - (m - n - 1) * kappa / 3.0, exact=exact)
 
 
 def radial_laplacian_half_sq(s: Scenario, r: float) -> float:
-    """Closed-form (1/2) Lap r_N^2 at distance r, maximized over branches.
+    """(1/2) Lap r_N^2 at distance r in (0, cut): 1 + (m - n - 1)(1 + r g) + n r f,
+    with g, f from specfun.comparison(kappa, 1/rho, r) (Heintze & Karcher 1978).
 
     The sphere has two points at distance r < radius (inside and outside the
-    shell); the outside branch dominates and is returned.
+    shell); this is the outside branch, 1/rho, which dominates the inside one.
     """
-    if r <= 0.0:
-        raise DomainError(f"r must be positive, got {r}")
-    if isinstance(s, EuclideanAffine):
-        return float(s.m - s.n)
-    if isinstance(s, CirclePoint):
-        if r >= math.pi:
-            raise DomainError("circle distance formula is smooth only on (0, pi)")
-        return 1.0
-    if isinstance(s, HyperbolicH3Point):
-        a = math.sqrt(-s.kappa)
-        return 1.0 + 2.0 * a * r / math.tanh(a * r)
-    if isinstance(s, SphereInEuclidean):
-        return 1.0 + (s.m - 1) * r / (s.radius + r)
-    raise TypeError(f"unknown scenario {s!r}")
+    m, n, kappa, rho, cut = s._geometry
+    if not 0.0 < r < cut:
+        raise DomainError(f"r must lie in (0, {cut}), got {r}")
+    v = comparison(kappa, 1.0 / rho, r)
+    return 1.0 + (m - n - 1) * (1.0 + r * v.g) + n * r * v.f
 
 
 def _gaussian_law(s: Scenario, t: float) -> Optional[tuple[int, float]]:
-    # (d, c) with r_N(X_t) distributed as |c e + B_t| in R^d, where that holds:
-    # flat (m - n, r0); H^3 at the pole (3, a t) by Rogers & Pitman (simulate)
-    if isinstance(s, EuclideanAffine):
-        return s.m - s.n, s.r0
-    if isinstance(s, HyperbolicH3Point) and s.r0 == 0.0:
-        return 3, math.sqrt(-s.kappa) * t
+    # (d, c) with r_N(X_t) distributed as |c e + B_t| in R^d, where that holds: no curvature
+    # of N and no cut locus, with M flat (d = m - n, c = r0) or H^3 seen from N = the start
+    # point (d = 3, c = sqrt(-kappa) t, by Rogers & Pitman; see simulate)
+    m, n, kappa, rho, cut = s._geometry
+    if rho == cut == math.inf and (kappa == 0.0 or s.r0 == 0.0):
+        return m - n, s.r0 + math.sqrt(-kappa) * t
     return None
 
 
@@ -191,36 +188,6 @@ def exact_exp_moment(s: Scenario, theta: float, t: float) -> Optional[float]:
     return (1.0 - theta * t) ** (-d / 2.0) * math.exp(theta * c**2 / (2.0 * (1.0 - theta * t)))
 
 
-def heat_kernel(s: Scenario, t: float, r: float) -> Optional[float]:
-    """Transition density at distance r from the start, where known in closed form.
-
-    Hyperbolic: Theta^{-1/2} (2 pi t)^{-3/2} exp(-r^2/2t + kappa t/2) with
-    Theta^{1/2} = sinh(a r)/(a r). Circle: the wrapped Gaussian, summed over
-    the images of revuz_mean_local_time.
-    """
-    if not t > 0.0:
-        raise DomainError(f"t must be positive, got {t}")
-    if r < 0.0:
-        raise DomainError(f"r must be non-negative, got {r}")
-    if isinstance(s, HyperbolicH3Point):
-        a = math.sqrt(-s.kappa)
-        u = a * r
-        if u < 1e-8:
-            theta_half = 1.0 - u * u / 6.0
-        elif u > 700.0:
-            return 0.0
-        else:
-            theta_half = u / math.sinh(u)
-        return theta_half * (2.0 * math.pi * t) ** -1.5 * math.exp(
-            -r * r / (2.0 * t) + s.kappa * t / 2.0
-        )
-    if isinstance(s, CirclePoint):
-        if r > math.pi:
-            raise DomainError(f"circle distance must lie in [0, pi], got {r}")
-        return sum(math.exp(-x * x / (2.0 * t)) for x in _circle_images(r, t)) / math.sqrt(2.0 * math.pi * t)
-    return None
-
-
 def _circle_images(r: float, t: float) -> list[float]:
     # distances |r + 2 pi k| of the images of a point at circle distance r, cut
     # beyond r + 12 sqrt(t): an image there weighs under e^{-72} of the nearest
@@ -234,7 +201,7 @@ def revuz_mean_local_time(s: Scenario, t: float) -> Optional[float]:
     Sphere shell in R^m from the centre: radius * Gamma(m/2-1, radius^2/2t) /
     Gamma(m/2), that is radius * Q(m/2-1, radius^2/2t) / (m/2-1) for m > 2,
     free of Gamma(m/2)'s overflow, and radius * E1(radius^2/2t) at m = 2.
-    Circle point: the wrapped-Gaussian kernel at distance r0 integrated over
+    Circle point: the wrapped-Gaussian heat kernel at distance r0 integrated over
     [0, t] image by image, each image at distance x giving
     sqrt(2t/pi) e^{-x^2/2t} - x erfc(x / sqrt(2t)).
     """

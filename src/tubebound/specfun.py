@@ -194,7 +194,8 @@ def upper_gamma(a: float, x: float) -> float:
     Gamma(a) Q(a, x) from scipy.special for a > 0 (DLMF 8.2.4), through
     exp(lgamma(a) + log Q) where Gamma(a) overflows (a > 171.6); a = 0 is the
     exponential integral E1(x) (DLMF 6.2.1). Raises DomainError where the
-    value overflows, or where Gamma(a) overflows and Q underflows.
+    value overflows, or where Q underflows (below the normal floats), since
+    Gamma(a) Q then loses the value even where Gamma(a, x) is a normal float.
     """
     from scipy.special import exp1, gammaincc  # here, so that `import tubebound` loads no scipy
 
@@ -205,12 +206,12 @@ def upper_gamma(a: float, x: float) -> float:
             raise DomainError("Gamma(0, 0) diverges")
         return float(exp1(x))
     q = float(gammaincc(a, x))
+    if q < sys.float_info.min:
+        raise DomainError(f"Gamma({a}, {x}) is out of reach: Q(a, x) = {q} underflows")
     try:
         return math.gamma(a) * q
     except OverflowError:
         pass
-    if q < sys.float_info.min:
-        raise DomainError(f"Gamma({a}, {x}) is out of reach: Gamma(a) overflows and Q(a, x) = {q} underflows")
     try:
         return math.exp(math.lgamma(a) + math.log(q))
     except OverflowError:

@@ -134,12 +134,11 @@ def h3_mgf_quad(kappa: float, theta: float, t: float) -> float:
     return val
 
 
-def circle_heat_kernel_fourier(t: float, r: float, terms: int = 64) -> float:
-    """Heat kernel on the unit circle by the eigenfunction (Fourier) route."""
-    total = 1.0
-    for j in range(1, terms + 1):
-        total += 2.0 * math.exp(-(j * j) * t / 2.0) * math.cos(j * r)
-    return total / (2.0 * math.pi)
+def circle_mean_local_time_fourier(t: float, d: float, terms: int = 200) -> float:
+    """Mean local time at arc distance d on the unit circle by the eigenfunction
+    (Fourier) route: t/2pi + pi/3 - d + d^2/2pi - (2/pi) sum_j e^{-j^2 t/2} cos(jd)/j^2."""
+    total = sum(math.exp(-(j * j) * t / 2.0) * math.cos(j * d) / (j * j) for j in range(1, terms + 1))
+    return t / (2.0 * math.pi) + math.pi / 3.0 - d + d * d / (2.0 * math.pi) - 2.0 / math.pi * total
 
 
 def chi_tail(d: int, r: float, t: float) -> float:
@@ -314,3 +313,41 @@ def logsob_mpmath(mode: str, m: int, n: int, C1: float, Lambda: float, r0: float
     if theta * C >= 1:
         return None
     return mp.exp(theta * (base + drift * t / 2) ** 2 / (2 * (1 - theta * C)))
+
+
+def lyapunov_pair_by_kind(s) -> tuple[float, float, bool]:
+    """(nu, lam, exact) of each scenario kind as a closed form of its own: flat
+    (m - n, 0), circle (1, 0), H^3 (3, -2 kappa/3), sphere (1 + c/2, c/2) with
+    c = (m - 1)/radius; only flat is exact."""
+    if s.kind == "flat":
+        return float(s.m - s.n), 0.0, True
+    if s.kind == "circle":
+        return 1.0, 0.0, False
+    if s.kind == "h3":
+        return 3.0, -2.0 * s.kappa / 3.0, False
+    c = (s.m - 1) / s.radius
+    return 1.0 + c / 2.0, c / 2.0, False
+
+
+def radial_laplacian_half_sq_by_kind(s, r: float) -> float:
+    """(1/2) Lap r_N^2 at distance r of each scenario kind as a closed form of its
+    own: flat m - n, circle 1, H^3 1 + 2 a r coth(a r), sphere (outer branch)
+    1 + (m - 1) r/(radius + r)."""
+    if s.kind == "flat":
+        return float(s.m - s.n)
+    if s.kind == "circle":
+        return 1.0
+    if s.kind == "h3":
+        a = math.sqrt(-s.kappa)
+        return 1.0 + 2.0 * a * r / math.tanh(a * r)
+    return 1.0 + (s.m - 1) * r / (s.radius + r)
+
+
+def gaussian_law_by_kind(s, t: float):
+    """(d, c) with r_N(X_t) distributed as |c e + B_t| in R^d: flat (m - n, r0),
+    H^3 from the pole (3, sqrt(-kappa) t); None elsewhere."""
+    if s.kind == "flat":
+        return s.m - s.n, s.r0
+    if s.kind == "h3" and s.r0 == 0.0:
+        return 3, math.sqrt(-s.kappa) * t
+    return None

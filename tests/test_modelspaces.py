@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 from tubebound.errors import DomainError
 from tubebound.modelspaces import (
@@ -12,9 +11,9 @@ from tubebound.modelspaces import (
     HyperbolicH3Point,
     LyapunovParams,
     SphereInEuclidean,
+    _gaussian_law,
     exact_exp_moment,
     exact_moment,
-    heat_kernel,
     lyapunov_params,
     radial_laplacian_half_sq,
     revuz_mean_local_time,
@@ -22,14 +21,17 @@ from tubebound.modelspaces import (
 )
 
 from oracles import (
-    circle_heat_kernel_fourier,
+    circle_mean_local_time_fourier,
     circle_mean_local_time_quad,
     exp1_quad,
     flat_mgf_mpmath,
     flat_radial_moment,
     flat_radial_moment_gh,
+    gaussian_law_by_kind,
     h3_mgf_quad,
     h3_moment_quad,
+    lyapunov_pair_by_kind,
+    radial_laplacian_half_sq_by_kind,
     sphere_mean_local_time_mpmath,
 )
 
@@ -147,6 +149,42 @@ def test_master_inequality_on_grid(scenario, rmax):
         assert lhs <= p.nu + p.lam * r * r + 1e-12
 
 
+def _scenario_sweep():
+    for m in range(2, 10):
+        for r0 in (0.0, 1.3):
+            yield from (EuclideanAffine(m=m, n=n, r0=r0) for n in range(m))
+    for radius in (0.7, 1.0 / 3.0, 3.0, 50.0):
+        yield from (SphereInEuclidean(m=m, radius=radius) for m in range(2, 10))
+    for r0 in (0.0, 1.3):
+        yield from (HyperbolicH3Point(kappa=kappa, r0=r0) for kappa in (-0.01, -1.0, -4.0, -20.0))
+        yield CirclePoint(r0=r0)
+
+
+def test_geometry_gives_each_kinds_closed_forms():
+    # the pair and the Gaussian law to the bit (the sign of lam = 0 too), 1/2 Lap r^2 to rounding
+    for s in _scenario_sweep():
+        p = lyapunov_params(s)
+        nu, lam, exact = lyapunov_pair_by_kind(s)
+        assert (p.nu, p.lam, p.exact) == (nu, lam, exact), s
+        assert math.copysign(1.0, p.lam) == math.copysign(1.0, lam), s
+        for t in (0.3, 2.0):
+            assert _gaussian_law(s, t) == gaussian_law_by_kind(s, t), s
+        for r in (0.01, 0.3, 1.0, 2.5, 7.0, 300.0):
+            if s.kind != "circle" or r < math.pi:
+                want = radial_laplacian_half_sq_by_kind(s, r)
+                assert radial_laplacian_half_sq(s, r) == pytest.approx(want, rel=1e-14, abs=0.0), (s, r)
+
+
+def test_radial_laplacian_domain():
+    for s in (EuclideanAffine(m=3, n=1), CirclePoint(), HyperbolicH3Point(), SphereInEuclidean(m=3)):
+        for r in (0.0, -1.0):
+            with pytest.raises(DomainError):
+                radial_laplacian_half_sq(s, r)
+    for r in (math.pi, 4.0):
+        with pytest.raises(DomainError):
+            radial_laplacian_half_sq(CirclePoint(), r)
+
+
 def test_sphere_inner_branch_also_below_master():
     s = SphereInEuclidean(m=2, radius=1.0)
     p = lyapunov_params(s)
@@ -239,58 +277,6 @@ def test_exp_moment_unavailable():
     assert exact_exp_moment(SphereInEuclidean(m=2, radius=1.0), 0.1, 1.0) is None
 
 
-# ----------------------------------------------------------------- heat_kernel
-
-def test_h3_heat_kernel_normalizes():
-    s = HyperbolicH3Point(kappa=-1.0)
-    for t in (0.5, 1.0, 2.0):
-        val, _ = integrate.quad(
-            lambda r: heat_kernel(s, t, r) * 4.0 * math.pi * math.sinh(r) ** 2,
-            0.0,
-            60.0,
-            limit=300,
-        )
-        assert val == pytest.approx(1.0, abs=1e-8)
-
-
-def test_h3_heat_kernel_reproduces_second_moment():
-    s = HyperbolicH3Point(kappa=-1.0)
-    t = 1.0
-    val, _ = integrate.quad(
-        lambda r: r * r * heat_kernel(s, t, r) * 4.0 * math.pi * math.sinh(r) ** 2,
-        0.0,
-        60.0,
-        limit=300,
-    )
-    assert val == pytest.approx(exact_moment(s, 1, t), rel=1e-6)
-
-
-def test_circle_heat_kernel_uniform_limit():
-    s = CirclePoint()
-    for r in (0.0, 1.0, math.pi):
-        assert abs(heat_kernel(s, 50.0, r) - 1.0 / (2.0 * math.pi)) < 1e-10
-
-
-def test_circle_heat_kernel_local_gaussian_limit():
-    s = CirclePoint()
-    for t in (1e-3, 1e-4):
-        assert heat_kernel(s, t, 0.0) * math.sqrt(2.0 * math.pi * t) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_circle_heat_kernel_matches_fourier_route():
-    s = CirclePoint()
-    for t in (0.3, 1.0, 5.0):
-        for r in (0.0, 0.7, 2.0, math.pi):
-            assert heat_kernel(s, t, r) == pytest.approx(
-                circle_heat_kernel_fourier(t, r), rel=1e-11, abs=1e-13
-            )
-
-
-def test_heat_kernel_unavailable_cases():
-    assert heat_kernel(EuclideanAffine(m=2, n=0), 1.0, 0.5) is None
-    assert heat_kernel(SphereInEuclidean(m=2, radius=1.0), 1.0, 0.5) is None
-
-
 # ------------------------------------------------------ revuz_mean_local_time
 
 def test_sphere_mean_local_time_value():
@@ -342,6 +328,13 @@ def test_circle_mean_local_time_affine_asymptote(d, t):
     # at the last point
     want = t / (2.0 * math.pi) + d * d / (2.0 * math.pi) - d + math.pi / 3.0
     assert revuz_mean_local_time(CirclePoint(r0=d), t) == pytest.approx(want, abs=1e-8)
+
+
+def test_circle_mean_local_time_matches_fourier_series():
+    for t in (0.05, 0.3, 1.0, 5.0, 20.0):
+        for d in (0.0, 0.7, 2.0, math.pi):
+            got = revuz_mean_local_time(CirclePoint(r0=d), t)
+            assert got == pytest.approx(circle_mean_local_time_fourier(t, d), rel=0.0, abs=1e-13)
 
 
 def test_circle_mean_local_time_matches_quadrature():

@@ -313,6 +313,14 @@ def test_upper_gamma_past_gamma_overflow():
             upper_gamma(200.0, x)
 
 
+def test_upper_gamma_raises_where_q_underflows():
+    # Gamma(100, 1200) = 5.28e-217 and Gamma(3, 740) = 2.3e-316, but Q(a, x) underflows
+    # below the normal floats at both, so Gamma(a) Q would read 0.0
+    for a, x in ((100.0, 1200.0), (3.0, 740.0)):
+        with pytest.raises(DomainError):
+            upper_gamma(a, x)
+
+
 def test_upper_gamma_divergent_corner():
     with pytest.raises(DomainError):
         upper_gamma(0.0, 0.0)
