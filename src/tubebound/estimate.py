@@ -1,12 +1,13 @@
 """Monte Carlo functionals: moments, exponential moments, tail probabilities
 and local times, the path ones conditioned on the bridge between grid points.
 
-Draw-based estimators split n over `partitions` independent streams, draw
-each stream in blocks of _DRAW_BLOCK and reduce partial sums in fixed
-order, so results are bit-reproducible for a given (seed, partitions)
+Draw-based estimators split n over `partitions` streams, partition i
+drawn from simulate.stream(seed, i) (SFC64, seeded by SeedSequence((seed,
+i))), draw each stream in blocks of _DRAW_BLOCK and reduce partial sums in
+fixed order, so results are bit-reproducible for a given (seed, partitions)
 and bounded in memory whatever n; they run on one thread. Path-based ones
-run sample_paths' blocks of paths, each from its own stream, on a thread
-pool, so neither n nor the worker count changes path k.
+run sample_paths' blocks of paths, block b from stream(seed, b), on a
+thread pool, so neither n nor the worker count changes path k.
 """
 from __future__ import annotations
 
@@ -64,22 +65,30 @@ def mc_mean(
     in the `overflow` field as a heavy-tail warning; a sum of squares that
     overflows makes the stderr inf. Squares are summed about the first
     block's mean, so a mean far above the spread does not cancel the variance.
+    A sum of kept values past the float range is carried in units of 2**64,
+    so the mean stays finite.
     """
     if n < 100:
         raise DomainError(f"need n >= 100, got {n}")
     total = total_sq = shift = 0.0
-    kept = 0
+    kept, unit = 0, 1.0  # the kept values sum to total / unit
     for draws in _draw_blocks(s, t, n, seed, partitions):
         with np.errstate(over="ignore"):  # an overflow is counted below, and inf stderr is the honest answer
             vals = fn(draws)
             vals = vals[np.isfinite(vals)]
             shift = float(np.mean(vals)) if kept == 0 and vals.size else shift
             total_sq += float(np.sum((vals - shift) ** 2))
+            if unit == 1.0:
+                part = float(np.sum(vals))
+                if not math.isfinite(total + part):
+                    unit, total = 2.0**-64, total * 2.0**-64
+            if unit != 1.0:
+                part = float(np.sum(vals * unit))
         kept += vals.size
-        total += float(np.sum(vals))
+        total += part
     if kept == 0:
         raise DomainError(f"all {n} values were not finite; no estimate possible")
-    mean = total / kept
+    mean = total / kept / unit
     gap, var = mean - shift, math.inf
     if math.isfinite(total_sq) and math.isfinite(mean):
         var = max(total_sq - kept * gap * gap, 0.0) / max(kept - 1, 1)

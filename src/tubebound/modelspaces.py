@@ -172,6 +172,7 @@ def exact_exp_moment(s: Scenario, theta: float, t: float) -> Optional[float]:
 
     Flat and H^3 at the pole (see exact_moment): (1 - theta t)^{-d/2}
     exp(theta c^2 / (2 (1 - theta t))), for theta * t < 1; theta = 0 is 1 everywhere.
+    Evaluated in logs; a value past the float range raises DomainError.
     """
     if theta < 0.0:
         raise DomainError(f"theta must be non-negative, got {theta}")
@@ -185,7 +186,11 @@ def exact_exp_moment(s: Scenario, theta: float, t: float) -> Optional[float]:
     if theta * t >= 1.0:
         raise DomainError(f"need theta*t < 1, got {theta * t}")
     d, c = law
-    return (1.0 - theta * t) ** (-d / 2.0) * math.exp(theta * c**2 / (2.0 * (1.0 - theta * t)))
+    log_m = -(d / 2.0) * math.log1p(-theta * t) + theta * c**2 / (2.0 * (1.0 - theta * t))
+    try:
+        return math.exp(log_m)
+    except OverflowError:
+        raise DomainError(f"exact exponential moment e^{log_m} exceeds the float range") from None
 
 
 def _circle_images(r: float, t: float) -> list[float]:

@@ -10,11 +10,12 @@ a r0. Endpoints need only the norm of a Gaussian position, which by
 rotation invariance takes one normal and one chi-square (sample_distances;
 one normal on the circle); paths keep the positions themselves.
 
-Random streams are counter-based: stream(seed, b) is the Philox generator
-jumped b blocks. Paths come in blocks of block_rows(steps) consecutive
-paths, block b drawn in one call from stream(seed, b), so path k is
-reproducible whatever the number of paths, the workers or the range that
-consume it.
+Every sampler draws from stream(seed, b), an SFC64 generator seeded by
+SeedSequence((seed, b)); independence of the streams rests on SeedSequence's
+hashing of the pair, not on a counter. Paths come in blocks of
+block_rows(steps) consecutive paths, block b drawn in one call from
+stream(seed, b), so path k is reproducible whatever the number of paths,
+the workers or the range that consume it.
 """
 from __future__ import annotations
 
@@ -40,11 +41,15 @@ _PATH_BLOCK = 1 << 16  # path values, rows x (steps + 1), of a block of sample_p
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
-    """Independent generator number `index` derived from a master seed: Philox
-    with its counter at index * 2**128, where `.jumped(index)` would take it."""
-    if not 0 <= index < 2**63:
-        raise DomainError(f"stream index must lie in [0, 2**63), got {index}")
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=[0, 0, index, 0]))
+    """Independent generator number `index` derived from a master seed: SFC64
+    seeded by SeedSequence((seed, index)), whose hashing keeps the streams of
+    distinct (seed, index) pairs apart (numpy's "Parallel random number
+    generation"). The seed must be an int >= 0, the index an int in [0, 2**63)."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+    if not (isinstance(index, (int, np.integer)) and 0 <= index < 2**63):
+        raise DomainError(f"stream index must be an integer in [0, 2**63), got {index!r}")
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, index))))
 
 
 @dataclass(frozen=True)

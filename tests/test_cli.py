@@ -193,6 +193,13 @@ def test_mc_non_finite_scenario_parameter_exits_two(capsys):
     assert cli.main(["mc", "--scenario", "sphere", "--radius", "inf", "--n", "200"]) == 2
 
 
+@pytest.mark.parametrize("cmd", [["mc", "--n", "200"], ["verify", "--quick"]])
+@pytest.mark.parametrize("seed", ["-3", "-1"])
+def test_negative_seed_exits_two(cmd, seed, capsys):
+    assert cli.main([*cmd, "--seed", seed]) == 2
+    assert f"seed must be a non-negative integer, got {seed}" in capsys.readouterr().err
+
+
 def test_scenario_defaults_and_inapplicable_flags(capsys):
     # flat defaults to m=3, n=0 (E r^2 = 3t); --radius is not a flat field
     assert cli.main(["mc", "--n", "200", "--radius", "5"]) == 0

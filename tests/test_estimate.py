@@ -111,6 +111,27 @@ def test_mc_moment_counts_overflowed_draws():
     assert math.isfinite(est.mean) and est.stderr == math.inf
 
 
+def test_mc_moment_mean_finite_past_float_range_of_sum():
+    # the kept values of r^400 can sum past 1.8e308 though each is finite: the
+    # mean is still that of the kept values, quietly, and where their plain sum
+    # is finite it is that sum over their count, bit for bit
+    s, past = EuclideanAffine(m=1, n=0), 0
+    for seed in range(60):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = mc_moment(s, 200, 100.0, 1000, seed)
+        with np.errstate(over="ignore"):
+            vals = sample_distances(s, 100.0, stream(seed, 0), 1000) ** 400
+            vals = vals[np.isfinite(vals)]
+            plain = float(np.sum(vals))
+        assert est.overflow == 1000 - vals.size
+        assert est.mean == pytest.approx(float(np.sum(vals / vals.size)), rel=1e-12), seed
+        if math.isfinite(plain):
+            assert est.mean == plain / vals.size, seed
+        past += not math.isfinite(plain)
+    assert past > 0  # the seeds reach the scaled sum
+
+
 def test_mc_mean_with_no_finite_value_raises():
     with pytest.raises(DomainError, match="not finite"):
         mc_mean(EuclideanAffine(m=3, n=0), 1.0, 100, 1, lambda r: np.full_like(r, np.inf))

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -270,6 +271,19 @@ def test_exp_moment_domain_error():
         exact_exp_moment(EuclideanAffine(m=1, n=0), 1.0, 1.0)
     with pytest.raises(DomainError):
         exact_exp_moment(HyperbolicH3Point(), 2.0, 0.5)
+
+
+def test_exp_moment_past_float_range_raises_domain_error():
+    # exponents 1237.5 (flat, r0 = 5) and 19602 (H^3 at kappa = -400, c = 20):
+    # inside theta t < 1, but e^that is no float
+    for s in (EuclideanAffine(m=1, n=0, r0=5.0), HyperbolicH3Point(kappa=-400.0)):
+        with pytest.raises(DomainError, match="float range"):
+            exact_exp_moment(s, 0.99, 1.0)
+    # just inside the range (exponent 677.7), the closed form to 30 digits
+    with mp.workdps(30):
+        theta, r0 = mp.mpf(0.99), mp.mpf(3.7)
+        want = (1 - theta) ** -0.5 * mp.exp(theta * r0**2 / (2 * (1 - theta)))
+    assert exact_exp_moment(EuclideanAffine(m=1, n=0, r0=3.7), 0.99, 1.0) == pytest.approx(float(want), rel=1e-13)
 
 
 def test_exp_moment_unavailable():

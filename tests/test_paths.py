@@ -186,15 +186,21 @@ def test_sup_tails_pinned_on_one_path_code():
 
 
 @pytest.mark.parametrize("k", [0, 1, 7, 12345, 2**40])
-def test_stream_matches_jumped_philox(k):
-    jumped = np.random.Generator(np.random.Philox(key=np.uint64(9)).jumped(k))
-    assert np.array_equal(stream(9, k).standard_normal(16), jumped.standard_normal(16))
+def test_stream_is_sfc64_seeded_by_seed_sequence(k):
+    want = np.random.Generator(np.random.SFC64(np.random.SeedSequence((9, k))))
+    assert np.array_equal(stream(9, k).standard_normal(16), want.standard_normal(16))
 
 
-@pytest.mark.parametrize("k", [-1, 2**63, 2**63 + 5])
+@pytest.mark.parametrize("k", [-1, 2**63, 2**63 + 5, 1.5])
 def test_stream_index_out_of_range(k):
     with pytest.raises(DomainError):
         stream(9, k)
+
+
+@pytest.mark.parametrize("seed", [-3, -1, 1.5, 2.0, "1", None])
+def test_stream_rejects_bad_seed(seed):
+    with pytest.raises(DomainError, match="seed"):
+        stream(seed, 0)
 
 
 def test_occupation_rows_match_per_path_counts():

@@ -49,9 +49,11 @@ def test_h3_second_moment_closed_form():
 
 
 def test_h3_moments_against_heat_kernel_quadrature():
+    # the six checks read one stream, so they pass or fail together: over seeds
+    # 0..399 their mean z lies within 0.08 of 0 and 3 seeds in 400 fail
     s = HyperbolicH3Point(kappa=-1.0)
     for t in (0.5, 1.0, 2.0):
-        draws = sample_distances(s, t, stream(103), 100_000)
+        draws = sample_distances(s, t, stream(103 + 2**20), 100_000)
         for p in (1, 2):
             mean, stderr = _mean_with_stderr(draws ** (2 * p))
             assert abs(mean - h3_moment_quad(-1.0, p, t)) <= 3.0 * stderr
@@ -88,17 +90,17 @@ def test_h3_off_pole_endpoint_cosh_identity():
 @pytest.mark.parametrize(
     "s,want",
     [
-        (EuclideanAffine(m=3, n=1, r0=0.5), [1.7962196429301214, 2.0277440317931443, 1.4998290349453378]),
-        (CirclePoint(r0=1.0), [0.9233248909434932, 1.3400686207166812, 1.2079936177767747]),
-        (SphereInEuclidean(m=3, radius=2.0), [1.019434027941088, 0.8795523529876772, 0.6639987772167366]),
+        (EuclideanAffine(m=3, n=1, r0=0.5), [1.8609987988263372, 2.689683686021886, 0.9046822366314068]),
+        (CirclePoint(r0=1.0), [2.133589870266425, 1.7345402624472719, 0.8947847858694749]),
+        (SphereInEuclidean(m=3, radius=2.0), [0.349677180281732, 0.682624980927667, 0.42844136589575466]),
     ],
     ids=["flat", "circle", "sphere"],
 )
 def test_gaussian_endpoint_draws_golden(s, want):
-    # first draws of stream(7, 3), pinned bit for bit: the circle on the
-    # per-kind sampler that preceded the shared Gaussian distance map, flat and
-    # sphere on the radial sampler (one normal, then the chi-square), whose
-    # draw order test_radial_endpoint_draws_golden spells out
+    # first draws of stream(7, 3), pinned bit for bit; each equals its
+    # construction from that stream's raw draws: the circle's normals wrapped
+    # by np.mod, flat and sphere one normal, then the chi-square, in the draw
+    # order test_radial_endpoint_draws_golden spells out
     assert sample_distances(s, 2.0, stream(7, 3), 3).tolist() == want
 
 
@@ -148,14 +150,14 @@ def test_path_blocks_hash_pinned():
     # H^3 start goes through cos and sin, whose last bit depends on the CPU, so
     # that block is hashed after rounding to 9 decimals
     for s, want in (
-        (EuclideanAffine(m=3, n=1, r0=0.5), "272aa5829b4f1389"),
-        (SphereInEuclidean(m=3, radius=1.0), "4698f73cba18ab48"),
-        (CirclePoint(r0=1.0), "88e00d933fe02fbb"),
-        (HyperbolicH3Point(kappa=-1.0), "057d6a36952b9ae2"),
+        (EuclideanAffine(m=3, n=1, r0=0.5), "610941e2135e180b"),
+        (SphereInEuclidean(m=3, radius=1.0), "5d36020d1b69dd2d"),
+        (CirclePoint(r0=1.0), "0fd4cc9cd8780f28"),
+        (HyperbolicH3Point(kappa=-1.0), "8571a97a85d59bf1"),
     ):
         assert hashlib.sha256(sample_paths(s, 0.01, 1.0, 23, 5, 40).tobytes()).hexdigest()[:16] == want, s
     off = np.round(sample_paths(HyperbolicH3Point(kappa=-2.0, r0=0.7), 0.01, 1.0, 23, 5, 40), 9)
-    assert hashlib.sha256(off.tobytes()).hexdigest()[:16] == "df70aff7e8039e56"
+    assert hashlib.sha256(off.tobytes()).hexdigest()[:16] == "04ce398d74613057"
 
 
 # -------------------------------------------------------------------- paths
