@@ -307,16 +307,14 @@ def bound_curve(
     explosion_point: Optional[float] = None,
 ) -> BoundCurve:
     """Evaluate fn over grid, recording DomainError points as invalid NaNs."""
+    xs = [float(x) for x in grid]
     values: list[float] = []
-    valid: list[bool] = []
-    for x in grid:
+    for x in xs:
         try:
-            v = fn(float(x))
+            values.append(fn(x))
         except DomainError:
-            v = math.nan
-        values.append(v)
-        valid.append(math.isfinite(v))
-    return BoundCurve(grid=[float(x) for x in grid], values=values, valid=valid,
+            values.append(math.nan)
+    return BoundCurve(grid=xs, values=values, valid=[math.isfinite(v) for v in values],
                       explosion_point=explosion_point)
 
 
@@ -334,7 +332,5 @@ def exp_dist_curve(p: LyapunovParams, r0: float, theta: float, grid: Sequence[fl
 
 def curve_to_csv(curve: BoundCurve) -> str:
     """CSV text with header param,value,valid; byte-stable across runs."""
-    lines = ["param,value,valid"]
-    for x, v, ok in zip(curve.grid, curve.values, curve.valid):
-        lines.append(f"{x!r},{v!r},{'true' if ok else 'false'}")
-    return "\n".join(lines) + "\n"
+    return "param,value,valid\n" + "".join(
+        [f"{x!r},{v!r},{'true' if ok else 'false'}\n" for x, v, ok in zip(curve.grid, curve.values, curve.valid)])

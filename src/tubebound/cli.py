@@ -154,12 +154,20 @@ def _render_svg(title: str, curves: list[tuple[str, BoundCurve, str]], x_max: fl
             f'<text x="{_L - 8}" y="{sy(yv) + 3:.2f}" font-size="10" text-anchor="end" '
             f'font-family="monospace">{yv:.3g}</text>'
         )
+    # the polylines map points as sx and sy do, inline: curves on one grid share
+    # its x text, and every clipped value has the same y text
+    y_top, y_scale = y_cap * 1.05, _B - _T
+    top_text = f"{sy(y_top):.2f}"
+    grid: list[float] | None = None
     for j, (label, curve, dash) in enumerate(curves):
-        pts = " ".join(
-            f"{sx(x):.2f},{sy(v):.2f}"
-            for x, v, ok in zip(curve.grid, curve.values, curve.valid)
+        if curve.grid != grid:
+            grid = curve.grid
+            x_text = [f"{_L + (x / x_max) * (_R_ - _L):.2f}," for x in grid]
+        pts = " ".join([
+            xt + top_text if v >= y_top else f"{xt}{_B - (v / y_cap) * y_scale:.2f}"
+            for xt, v, ok in zip(x_text, curve.values, curve.valid)
             if ok
-        )
+        ])
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         parts.append(
             f'<polyline clip-path="url(#plot)" points="{pts}" fill="none" '
@@ -207,6 +215,8 @@ def _fresh(path: Path) -> Path:
 def _cmd_curves(args: argparse.Namespace) -> int:
     if not (args.m >= 2 and args.steps >= 1 and 0.0 < args.t_max < math.inf and 0.0 < args.theta < math.inf):
         raise DomainError("curves needs --m >= 2 (nu >= 2), --steps >= 1 and finite --t-max, --theta > 0")
+    if not (args.R and all(map(math.isfinite, args.R)) and len({f"{R:g}" for R in args.R}) == len(args.R)):
+        raise DomainError(f"curves needs one or more finite --R values, no two alike to 6 digits, got {args.R}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     grid = [args.t_max * (k + 1) / args.steps for k in range(args.steps)]

@@ -13,6 +13,7 @@ from .errors import ConvergenceError, DomainError
 _KUMMER_CAP = 100_000
 _KUMMER_TOL = 1e-16
 _ASYM_TOL = 1e-17
+_TINY_A_SCALE = 2.0**600
 
 
 @dataclass(frozen=True)
@@ -117,15 +118,23 @@ def kummerm1(a: float, b: float, z: float) -> float:
 
     Terminating (z >= 0, b > 0, n = a - b a non-negative integer as rounded): Kummer's
     transformation (DLMF 13.2.39) e^z P - 1 = expm1(z) P + (P - 1), P = 1F1(-n, b, -z) a
-    polynomial of degree n. Large z (>= 50): Gamma(b)/Gamma(a) e^z z^(a-b) S - 1, S from
-    _large_z_sum. Otherwise the term-ratio series past its leading 1, until a shrinking term
-    is twice below 1e-16 of the sum. ConvergenceError past float range or at 1e5 terms.
+    polynomial of degree n, P - 1 summed in exactly its n terms (the terms and sum of
+    _series_m1(-n, b, -z), bit for bit). Large z (>= 50): Gamma(b)/Gamma(a) e^z z^(a-b) S - 1,
+    S from _large_z_sum. Otherwise the term-ratio series past its leading 1, until a
+    shrinking term is twice below 1e-16 of the sum; for a subnormal a it is summed at
+    a 2^600 and scaled back, so that its first term a z / b keeps every digit.
+    ConvergenceError past float range or at 1e5 terms (n > 1e5 included).
     """
     if b <= 0.0 and b == int(b):
         raise DomainError(f"b must not be a non-positive integer, got {b}")
     n = a - b
     if z >= 0.0 and b > 0.0 and n >= 0.0 and float(n).is_integer():
-        pm1 = _series_m1(-n, b, -z)  # all terms positive; P >= 1: 1F1 overflows where e^z does
+        if n > _KUMMER_CAP:
+            raise ConvergenceError(f"1F1({a}, {b}, {z}) is a polynomial of more than {_KUMMER_CAP} terms")
+        term, pm1 = 1.0, 0.0  # all terms positive; P >= 1: 1F1 overflows where e^z does
+        for p in range(int(n)):
+            term *= (n - p) * z / ((b + p) * (p + 1))  # _series_m1's ratio at (-n, b, -z)
+            pm1 += term
         total = (math.expm1(z) if z <= 709.782712893384 else math.inf) * (1.0 + pm1) + pm1
         if not math.isfinite(total):
             raise ConvergenceError(f"1F1({a}, {b}, {z}) overflows a float")
@@ -139,6 +148,13 @@ def kummerm1(a: float, b: float, z: float) -> float:
             raise ConvergenceError(f"1F1({a}, {b}, {z}) overflows a float")
         if total >= 2.0:  # below, 1F1 - 1 would cancel: the series has it exactly
             return total - 1.0
+    if 0.0 < abs(a) < sys.float_info.min:
+        # a + p == p for every p >= 1 at both scales, so the terms at a 2^600 are
+        # the terms at a times 2^600 exactly, past the first one's rounding
+        try:
+            return _series_m1(a * _TINY_A_SCALE, b, z) / _TINY_A_SCALE
+        except ConvergenceError:  # the scaled sum overflows: 1F1 - 1 > 2^424
+            pass
     return _series_m1(a, b, z)
 
 

@@ -351,3 +351,24 @@ def gaussian_law_by_kind(s, t: float):
     if s.kind == "h3" and s.r0 == 0.0:
         return 3, math.sqrt(-s.kappa) * t
     return None
+
+
+def curve_csv_by_point(curve) -> str:
+    """A BoundCurve's CSV text, one line appended per point: reference for bounds.curve_to_csv."""
+    lines = ["param,value,valid"]
+    for x, v, ok in zip(curve.grid, curve.values, curve.valid):
+        lines.append(f"{x!r},{v!r},{'true' if ok else 'false'}")
+    return "\n".join(lines) + "\n"
+
+
+def polyline_points_by_point(curve, x_max: float, y_cap: float = 25.0) -> str:
+    """The points="..." text of a curve in a curves SVG, each valid point mapped by
+    its own sx, sy calls on the 640 x 420 canvas (plot box x 60..620, y 20..380):
+    reference for cli._render_svg."""
+    def sx(x: float) -> float:
+        return 60 + (x / x_max) * (620 - 60)
+
+    def sy(y: float) -> float:
+        return 380 - (min(y, y_cap * 1.05) / y_cap) * (380 - 20)
+
+    return " ".join(f"{sx(x):.2f},{sy(v):.2f}" for x, v, ok in zip(curve.grid, curve.values, curve.valid) if ok)

@@ -8,6 +8,8 @@ from tubebound import cli
 from tubebound.modelspaces import SphereInEuclidean
 from tubebound.simulate import read_path_dump, sample_paths
 
+from oracles import curve_csv_by_point, polyline_points_by_point
+
 
 def _read_csv_rows(path):
     lines = path.read_text().strip().split("\n")
@@ -51,6 +53,7 @@ def test_curves_long_horizon_saturates_without_overflow(tmp_path):
 @pytest.mark.parametrize("flags", [
     ["--R", "nan"], ["--theta", "nan"], ["--theta", "inf"], ["--t-max", "0"], ["--t-max", "-1"],
     ["--t-max", "nan"], ["--steps", "0"], ["--steps", "-3"], ["--m", "1"], ["--m", "0"], ["--theta", "0"],
+    ["--R", "0", "inf"], ["--R"], ["--R", "0", "0"], ["--R", "1", "1.0000001"],
 ])
 def test_curves_non_finite_parameter_exits_two(flags, tmp_path, capsys):
     assert cli.main(["curves", "--steps", "20", *flags, "--out", str(tmp_path)]) == 2
@@ -64,6 +67,33 @@ def test_curves_outputs_byte_identical(tmp_path):
         assert cli.main(["curves", "--R", "-1", "0", "--steps", "80", "--out", str(out)]) == 0
     for name in ("exp_sq_R-1.csv", "exp_dist_R0.csv", "exp_sq.svg", "explosions.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+CURVES_FLAG_SETS = [
+    [], ["--R", "-1", "0", "--steps", "80"], ["--t-max", "3000", "--steps", "50"], ["--m", "4", "--t-max", "3000"],
+    ["--m", "41", "--t-max", "3000"], ["--theta", "0.1666667", "--R", "-1"], ["--m", "6", "--R", "-2", "0.5", "3"],
+]
+
+
+@pytest.mark.parametrize("flags", CURVES_FLAG_SETS, ids=lambda f: " ".join(f) or "defaults")
+def test_curves_files_match_per_point_oracle(flags, tmp_path, monkeypatch):
+    # every CSV and every polyline of the two SVGs, against the per-point renderings of
+    # the very BoundCurves the command built
+    made = {"exp_dist": [], "exp_sq": []}
+    for family, curves in made.items():
+        def record(*args, build=getattr(cli, f"{family}_curve"), curves=curves):
+            curves.append(build(*args))
+            return curves[-1]
+
+        monkeypatch.setattr(cli, f"{family}_curve", record)
+    assert cli.main(["curves", *flags, "--out", str(tmp_path)]) == 0
+    args = cli._build_parser().parse_args(["curves", *flags])
+    for family, curves in made.items():
+        assert len(curves) == len(args.R)
+        for R, curve in zip(args.R, curves):
+            assert (tmp_path / f"{family}_R{R:g}.csv").read_bytes() == curve_csv_by_point(curve).encode()
+        points = re.findall(r'<polyline [^>]*points="([^"]*)"', (tmp_path / f"{family}.svg").read_text())
+        assert points == [polyline_points_by_point(c, args.t_max) for c in curves]
 
 
 def test_curves_svg_is_static(tmp_path):

@@ -14,6 +14,7 @@ from tubebound.specfun import (
     kummerm1,
     laguerre,
     lemma_laguerre_rhs,
+    _series_m1,
     upper_gamma,
 )
 
@@ -199,8 +200,10 @@ def test_kummer_against_scipy_grid():
 def test_kummer_matches_mpmath(a, b, z):
     # both regimes, the switch between them and the edge of float range; a tiny a
     # (1e-301 at z = 816) needs the series to run past its first, tiny terms. A
-    # subnormal a is left out: its first term a z / b is subnormal too and keeps
-    # only a few bits, which the later terms multiply up to the leading digits.
+    # subnormal a is left out: kummerm1 sums it at a 2^600, but where 1F1 - 1 passes
+    # 2^424 that sum overflows and the unscaled one keeps only a few bits of its
+    # subnormal first term a z / b (test_kummerm1_subnormal_a_matches_mpmath covers
+    # the rest).
     ref = 1 + kummer_m1_mpmath(a, b, z)
     if ref > sys.float_info.max:
         with pytest.raises(ConvergenceError):
@@ -253,6 +256,41 @@ def test_kummerm1_terminating_matches_mpmath(b, n, z):
             kummerm1(a, b, z)
         return
     assert abs(kummerm1(a, b, z) - ref) <= 1e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("nu", range(3, 43, 2))
+def test_kummerm1_terminating_sum_is_the_series_bit_for_bit(nu):
+    # P - 1 summed in its n terms has the bits of the series, whose convergence tests
+    # only ever stop it past the terms that can still change the sum
+    n, b = (nu - 1) // 2, 0.5
+    for z in (0.0, 1e-300, 1e-8, 0.3, 1.0, 7.0, 49.9, 50.0, 300.0, 709.0):
+        pm1 = _series_m1(-float(n), b, -z)
+        want = math.expm1(z) * (1.0 + pm1) + pm1
+        if not math.isfinite(want):
+            with pytest.raises(ConvergenceError):
+                kummerm1(nu / 2.0, b, z)
+        else:
+            assert kummerm1(nu / 2.0, b, z) == want, z
+
+
+def test_kummerm1_terminating_past_the_term_cap_is_loud():
+    with pytest.raises(ConvergenceError):
+        kummerm1(0.5 + 100_001, 0.5, 1e-3)
+    a = 0.5 + 100_000  # at the cap: summed, 1F1 - 1 = a z / b to O(z)
+    assert kummerm1(a, 0.5, 1e-300) == pytest.approx(a * 1e-300 / 0.5, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("a, b, z", [
+    (5e-324, 0.25, 731.0), (5e-324, 0.25, 816.0), (-1e-320, 1.5, 40.0),
+    (2e-308, 0.25, 1050.0),  # 1F1 - 1 = 1.3e148: the sum at a 2^600 overflows, so a is taken as it is
+])
+def test_kummerm1_subnormal_a_matches_mpmath(a, b, z):
+    # at 60 digits mpmath rounds 1F1 - 1 to 0 here, so the reference takes 400
+    import mpmath as mp
+
+    with mp.workdps(400):
+        ref = mp.hyp1f1(a, b, z) - 1
+        assert abs((kummerm1(a, b, z) - ref) / ref) <= 1e-13
 
 
 def test_kummer_nonconvergence_is_loud():
