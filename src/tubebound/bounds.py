@@ -119,12 +119,15 @@ def exp_dist_bound(p: LyapunovParams, r0: float, t: float, theta: float) -> floa
     return min(1.0 + (1.0 + B**-0.5) * f1m1, SATURATION)
 
 
-def _exp_sq_log(p: LyapunovParams, r0: float, t: float, theta: float, name: str) -> float:
+def _exp_sq_log(p: LyapunovParams, r0: float, t: float, theta: float, name: Optional[str]) -> float:
     # log of (1 - x)^(-nu/2) exp(theta r0^2 e^(lam t) / (2 (1 - x))), x = theta R(-lam, t);
-    # for lam > 0, theta e^(lam t) = theta + lam x, which cannot overflow as x < 1
+    # for lam > 0, theta e^(lam t) = theta + lam x, which cannot overflow as x < 1.
+    # Past the domain it raises DomainError naming `name`, or with name None returns NaN
     growth = radial_R(-p.lam, t)
     x = theta * growth
     if x >= 1.0 or (growth == SATURATION and theta > 0.0):
+        if name is None:
+            return math.nan
         raise DomainError(f"domain requires {name} R(t) e^(lam t) < 1, got {x}")
     scale = theta * math.exp(p.lam * t) if p.lam <= 0.0 else theta + p.lam * x
     return -(p.nu / 2.0) * math.log1p(-x) + r0 * r0 * scale / (2.0 * (1.0 - x))
@@ -319,9 +322,15 @@ def bound_curve(
 
 
 def exp_sq_curve(p: LyapunovParams, r0: float, theta: float, grid: Sequence[float]) -> BoundCurve:
-    """exp_sq_bound over a time grid, with its explosion time attached."""
+    """exp_sq_bound over a time grid, with its explosion time attached.
+
+    Each value has exp_sq_bound's bits. Where exp_sq_bound fails its domain
+    test (theta R(t) e^(lam t) >= 1, or a saturated growth) the point is NaN
+    by that same test, with no exception raised; a t outside [0, inf) still
+    raises in radial_R, and bound_curve marks it invalid.
+    """
     return bound_curve(
-        lambda t: exp_sq_bound(p, r0, t, theta), grid, explosion_point=explosion_time(p, theta)
+        lambda t: _exp_sat(_exp_sq_log(p, r0, t, theta, None)), grid, explosion_point=explosion_time(p, theta)
     )
 
 
@@ -330,7 +339,24 @@ def exp_dist_curve(p: LyapunovParams, r0: float, theta: float, grid: Sequence[fl
     return bound_curve(lambda t: exp_dist_bound(p, r0, t, theta), grid)
 
 
+def curves_to_csv(curves: Sequence[BoundCurve]) -> list[str]:
+    """Each curve's CSV text, header param,value,valid; byte-stable across runs.
+
+    Consecutive curves on one grid share one repr text of it. One grid
+    means the same float objects, as bound_curve keeps them from one input
+    grid: equal floats can differ in repr (0.0 and -0.0).
+    """
+    texts: list[str] = []
+    grid: list[float] = []
+    x_text: list[str] = []
+    for curve in curves:
+        if not (len(curve.grid) == len(grid) and all(a is b for a, b in zip(curve.grid, grid))):
+            grid, x_text = curve.grid, [f"{x!r}," for x in curve.grid]
+        texts.append("param,value,valid\n" + "".join(
+            [f"{xt}{v!r},{'true' if ok else 'false'}\n" for xt, v, ok in zip(x_text, curve.values, curve.valid)]))
+    return texts
+
+
 def curve_to_csv(curve: BoundCurve) -> str:
-    """CSV text with header param,value,valid; byte-stable across runs."""
-    return "param,value,valid\n" + "".join(
-        [f"{x!r},{v!r},{'true' if ok else 'false'}\n" for x, v, ok in zip(curve.grid, curve.values, curve.valid)])
+    """One curve's CSV text: curves_to_csv of that curve alone."""
+    return curves_to_csv([curve])[0]

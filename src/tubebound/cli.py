@@ -18,7 +18,7 @@ from pathlib import Path
 from .bounds import (
     BoundCurve,
     concentration_bound_optimized,
-    curve_to_csv,
+    curves_to_csv,
     even_moment_bound,
     exit_time_bound,
     exp_dist_curve,
@@ -222,12 +222,10 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     grid = [args.t_max * (k + 1) / args.steps for k in range(args.steps)]
     explosion_rows = []
     for family, builder in (("exp_dist", exp_dist_curve), ("exp_sq", exp_sq_curve)):
-        curves = []
-        for R in args.R:
-            lp = LyapunovParams(nu=float(args.m), lam=-R / 3.0)
-            curve = builder(lp, 0.0, args.theta, grid)
+        curves = [builder(LyapunovParams(nu=float(args.m), lam=-R / 3.0), 0.0, args.theta, grid) for R in args.R]
+        for R, curve, text in zip(args.R, curves, curves_to_csv(curves)):
             name = f"{family}_R{R:g}"
-            _fresh(out / f"{name}.csv").write_text(curve_to_csv(curve))
+            _fresh(out / f"{name}.csv").write_text(text)
             if family == "exp_sq":
                 point = curve.explosion_point
                 explosion_rows.append(f"{name},{point!r}" if point is not None else f"{name},never")
@@ -235,10 +233,10 @@ def _cmd_curves(args: argparse.Namespace) -> int:
                     print(f"{name}: explodes at t={point:.6f}")
                 else:
                     print(f"{name}: no finite explosion time")
-            dash = _DASHES.get(R, "4,2")
-            curves.append((f"R={R:g}", curve, dash))
         svg = _render_svg(
-            f"{family} bound, theta={args.theta:g}, nu={args.m}", curves, args.t_max
+            f"{family} bound, theta={args.theta:g}, nu={args.m}",
+            [(f"R={R:g}", curve, _DASHES.get(R, "4,2")) for R, curve in zip(args.R, curves)],
+            args.t_max,
         )
         _fresh(out / f"{family}.svg").write_text(svg)
     _fresh(out / "explosions.csv").write_text("curve,explosion_time\n" + "\n".join(explosion_rows) + "\n")
@@ -323,61 +321,85 @@ def _cmd_localtime(args: argparse.Namespace) -> int:
     return status
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _add_verify(sub) -> None:
+    p = sub.add_parser("verify", help="run the acceptance-criteria suite")
+    p.add_argument("--quick", action="store_true", help="reduced Monte Carlo sizes")
+    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--config", default=None)
+    p.set_defaults(fn=_cmd_verify)
+
+
+def _add_curves(sub) -> None:
+    p = sub.add_parser("curves", help="emit exponential-bound curves (CSV + SVG)")
+    p.add_argument("--theta", type=float, default=1.0 / 6.0)
+    p.add_argument("--m", type=int, default=3)
+    p.add_argument("--R", type=float, nargs="*", default=[-1.0, 0.0, 1.0],
+                   help="Ricci lower bounds; lam = -R/3")
+    p.add_argument("--t-max", type=float, default=8.0)
+    p.add_argument("--steps", type=int, default=400)
+    p.add_argument("--out", default="out")
+    p.add_argument("--config", default=None)
+    p.set_defaults(fn=_cmd_curves)
+
+
+def _add_mc(sub) -> None:
+    p = sub.add_parser("mc", help="Monte Carlo estimate vs bound for one scenario")
+    _add_scenario_flags(p)
+    p.add_argument("--t", type=float, default=1.0)
+    p.add_argument("--p", type=int, default=None, help="moment order")
+    p.add_argument("--theta", type=float, default=None, help="exp-square moment instead")
+    p.add_argument("--r", type=float, default=None, help="tail radius instead")
+    p.add_argument("--dt", type=float, default=None, help="path step (sup-mode tails)")
+    p.add_argument("--n", type=int, default=100_000)
+    p.add_argument("--partitions", type=int, default=1)
+    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--out", default=None)
+    p.add_argument("--config", default=None)
+    p.set_defaults(fn=_cmd_mc)
+
+
+def _add_localtime(sub) -> None:
+    p = sub.add_parser("localtime", help="local-time experiments (Brownian-bridge estimator)")
+    _add_scenario_flags(p)
+    p.add_argument("--t", type=float, default=None)
+    p.add_argument("--n", type=int, default=10_000)
+    p.add_argument("--dt", type=float, default=1e-2)
+    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--out", default=None)
+    p.add_argument("--dump-paths", action="store_true")
+    p.add_argument("--config", default=None)
+    p.set_defaults(fn=_cmd_localtime)
+
+
+_SUBCOMMANDS = {"verify": _add_verify, "curves": _add_curves, "mc": _add_mc, "localtime": _add_localtime}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The tubebound parser; with `command` naming a subcommand, only its subparser.
+
+    Each subparser costs a fraction of a millisecond to build, on every
+    call. The one-subparser parser takes the full choice list as its
+    metavar, so its usage line and errors read as the full parser's. Any
+    other `command` (None, -h, a typo) builds all four.
+    """
     parser = argparse.ArgumentParser(
         prog="tubebound",
         description="Moment bounds for Brownian motion near a submanifold: "
         "verification and experiments.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="run the acceptance-criteria suite")
-    p_verify.add_argument("--quick", action="store_true", help="reduced Monte Carlo sizes")
-    p_verify.add_argument("--seed", type=int, default=_default_seed())
-    p_verify.add_argument("--config", default=None)
-    p_verify.set_defaults(fn=_cmd_verify)
-
-    p_curves = sub.add_parser("curves", help="emit exponential-bound curves (CSV + SVG)")
-    p_curves.add_argument("--theta", type=float, default=1.0 / 6.0)
-    p_curves.add_argument("--m", type=int, default=3)
-    p_curves.add_argument("--R", type=float, nargs="*", default=[-1.0, 0.0, 1.0],
-                          help="Ricci lower bounds; lam = -R/3")
-    p_curves.add_argument("--t-max", type=float, default=8.0)
-    p_curves.add_argument("--steps", type=int, default=400)
-    p_curves.add_argument("--out", default="out")
-    p_curves.add_argument("--config", default=None)
-    p_curves.set_defaults(fn=_cmd_curves)
-
-    p_mc = sub.add_parser("mc", help="Monte Carlo estimate vs bound for one scenario")
-    _add_scenario_flags(p_mc)
-    p_mc.add_argument("--t", type=float, default=1.0)
-    p_mc.add_argument("--p", type=int, default=None, help="moment order")
-    p_mc.add_argument("--theta", type=float, default=None, help="exp-square moment instead")
-    p_mc.add_argument("--r", type=float, default=None, help="tail radius instead")
-    p_mc.add_argument("--dt", type=float, default=None, help="path step (sup-mode tails)")
-    p_mc.add_argument("--n", type=int, default=100_000)
-    p_mc.add_argument("--partitions", type=int, default=1)
-    p_mc.add_argument("--seed", type=int, default=_default_seed())
-    p_mc.add_argument("--out", default=None)
-    p_mc.add_argument("--config", default=None)
-    p_mc.set_defaults(fn=_cmd_mc)
-
-    p_lt = sub.add_parser("localtime", help="local-time experiments (Brownian-bridge estimator)")
-    _add_scenario_flags(p_lt)
-    p_lt.add_argument("--t", type=float, default=None)
-    p_lt.add_argument("--n", type=int, default=10_000)
-    p_lt.add_argument("--dt", type=float, default=1e-2)
-    p_lt.add_argument("--seed", type=int, default=_default_seed())
-    p_lt.add_argument("--out", default=None)
-    p_lt.add_argument("--dump-paths", action="store_true")
-    p_lt.add_argument("--config", default=None)
-    p_lt.set_defaults(fn=_cmd_localtime)
+    if command in _SUBCOMMANDS:
+        sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(_SUBCOMMANDS) + "}")
+        _SUBCOMMANDS[command](sub)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        for add in _SUBCOMMANDS.values():
+            add(sub)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    parser = _build_parser(argv[0] if argv else None)
     # find the subcommand parser to honor a config file, flags winning
     try:
         pre, _ = parser.parse_known_args(argv)

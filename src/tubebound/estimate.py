@@ -140,7 +140,9 @@ def path_functional(s: Scenario, dt: float, T: float, n: int, seed: int, fn: Pat
 
 
 def mc_path_mean(s: Scenario, dt: float, T: float, n: int, seed: int, fn: PathFn) -> MCEstimate:
-    """Mean of one value per path over path_functional, with its standard error."""
+    """Mean of one value per path over path_functional, with its standard error (n >= 2)."""
+    if n < 2:
+        raise DomainError(f"need n >= 2 paths for a standard error, got {n}")
     vals = path_functional(s, dt, T, n, seed, fn)
     return MCEstimate(float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n)), n, seed)
 
@@ -202,7 +204,8 @@ def tail_prob(
     """Probability of r_N(X_t) >= r, or of sup_{s<=t} r_N >= r.
 
     Point mode counts exact endpoint draws, with the Wilson half-width as
-    standard error below 0.05 (no zero-stderr artifacts at rare events).
+    standard error within 0.05 of 0 or 1 (no zero-stderr artifacts at rare
+    or near-certain events).
     Sup mode averages over paths at step dt each one's bridge-crossing
     probability given its grid (no grid-monitoring bias), with partitions 1 only.
     """
@@ -221,7 +224,7 @@ def tail_prob(
 
 
 def _binomial_stderr(phat: float, n: int) -> float:
-    if phat < 0.05:
+    if min(phat, 1.0 - phat) < 0.05:
         # Wilson half-width at one sigma
         z2 = 1.0
         half = math.sqrt(phat * (1.0 - phat) / n + z2 / (4.0 * n * n))

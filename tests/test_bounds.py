@@ -15,6 +15,7 @@ from tubebound.bounds import (
     concentration_bound,
     concentration_bound_optimized,
     curve_to_csv,
+    curves_to_csv,
     even_moment_bound,
     exit_time_bound,
     exp_dist_bound,
@@ -40,6 +41,7 @@ from tubebound.specfun import _large_z_sum
 
 from oracles import (
     bold_r_mpmath,
+    curve_csv_by_point,
     even_moment_mpmath,
     cameron_martin_quadratic,
     chi_tail,
@@ -731,3 +733,56 @@ def test_bound_curve_handles_domain_errors():
     p = LyapunovParams(nu=2.0, lam=0.0)
     curve = bound_curve(lambda t: exp_sq_bound(p, 0.0, t, 0.5), [1.0, 1.9, 2.5])
     assert curve.valid == [True, True, False]
+
+
+# lam < 0 near -theta puts lam t* near -20 and -28, where theta R(t) e^(lam t) is so
+# flat in t that the float test x >= 1 flips many ulps of t away from t*
+EXP_SQ_CURVE_PAIRS = [
+    *[(lam, theta) for lam in (-2.0, -1.0 / 3.0, 0.0, 1.0 / 3.0, 2.0) for theta in (1e-300, 1.0 / 6.0, 1.0, 50.0)],
+    (-1.0 / 3.0, 1.0 / 3.0 + 1e-9), (-2.0, 2.0 * (1.0 + 1e-12)),
+]
+
+
+@pytest.mark.parametrize("lam, theta", EXP_SQ_CURVE_PAIRS)
+def test_exp_sq_curve_matches_exp_sq_bound_point_by_point(lam, theta):
+    # values bit for bit, and NaN and invalid exactly where exp_sq_bound raises, on a
+    # dense grid, the 101 floats about t*, a window of +-2e-8 t* about it, and t < 0 or inf
+    p = LyapunovParams(nu=3.0, lam=lam)
+    tstar = explosion_time(p, theta)
+    top = 2.0 * tstar if tstar is not None else 100.0
+    grid = [top * k / 400 for k in range(401)] + [-1.0, -1e-300, math.inf]
+    if tstar is not None:
+        below = tstar
+        for _ in range(50):
+            below = math.nextafter(below, 0.0)
+        grid.append(below)
+        for _ in range(100):
+            grid.append(math.nextafter(grid[-1], math.inf))
+        grid += [tstar * (1.0 + 1e-9 * j) for j in range(-20, 21)]
+    for r0 in (0.0, 0.8):
+        curve = exp_sq_curve(p, r0, theta, grid)
+        assert curve.grid == grid and curve.explosion_point == tstar
+        for t, v, ok in zip(grid, curve.values, curve.valid):
+            try:
+                want = exp_sq_bound(p, r0, t, theta)
+            except DomainError:
+                assert math.isnan(v) and not ok, t
+            else:
+                assert (v, ok) == (want, math.isfinite(want)), t
+        assert any(curve.valid) and not any(curve.valid[401:404])
+
+
+def test_curves_to_csv_matches_each_curve_and_per_point_text():
+    # curves on one grid, on equal grids of other float objects (numpy's), and on
+    # grids equal in value but not in repr (-0.0 and 0.0), in runs and interleaved
+    p = LyapunovParams(nu=3.0, lam=-1.0 / 3.0)
+    grid = [8.0 * (k + 1) / 50 for k in range(50)]
+    shared = [exp_sq_curve(p, 0.5, theta, grid) for theta in (1.0 / 6.0, 1.0)]
+    from_numpy = [exp_dist_curve(p, 0.0, 1.0 / 6.0, np.array(grid)) for _ in range(2)]
+    signed = [BoundCurve(grid=[x, 1.5], values=[1.0, math.nan], valid=[True, False]) for x in (-0.0, 0.0, -0.0)]
+    empty = BoundCurve(grid=[], values=[], valid=[])
+    curves = [*shared, *from_numpy, shared[0], *signed, empty, shared[1]]
+    texts = curves_to_csv(curves)
+    assert texts == [curve_to_csv(c) for c in curves] == [curve_csv_by_point(c) for c in curves]
+    assert [t.split("\n")[1][:5] for t in texts[5:8]] == ["-0.0,", "0.0,1", "-0.0,"]
+    assert curves_to_csv([]) == []

@@ -1,3 +1,4 @@
+import argparse
 import math
 import re
 
@@ -192,6 +193,23 @@ def test_rerun_replaces_every_output_file(argv, tmp_path):
     assert target.read_bytes() == b"keep"
 
 
+def test_mc_near_certain_tail_has_positive_stderr(capsys):
+    # p-hat = 1 takes the Wilson half-width, as p-hat = 0 does
+    assert cli.main(["mc", "--r", "1e-300", "--n", "1000"]) == 0
+    assert "mc mean=1 stderr=0.0005 " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["localtime", "--scenario", "sphere", "--n", "1"], ["mc", "--r", "2", "--dt", "0.01", "--n", "1"],
+])
+def test_one_path_exits_two(argv, capsys):
+    # one path has no standard error: a config error, not stderr=nan
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "need n >= 2 paths" in captured.err
+    assert captured.out == ""
+
+
 # ------------------------------------------------------------------ localtime
 
 def test_localtime_circle(capsys):
@@ -293,6 +311,42 @@ def test_config_bad_value_is_config_error(tmp_path, capsys):
 
 def test_config_missing_file_is_error(tmp_path, capsys):
     assert cli.main(["mc", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+
+PARSER_ARGVS = [
+    [], ["--help"], ["bogus"], *[[cmd, "--help"] for cmd in ("verify", "curves", "mc", "localtime")],
+    ["curves", "--bogus"], ["mc", "--partitions", "x"], ["verify", "--seed", "x"],
+    ["curves", "--config", "{cfg}"], ["verify", "--config", "{cfg}"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda a: " ".join(a) or "none")
+def test_main_reads_as_with_the_full_parser(argv, tmp_path, monkeypatch, capsys):
+    # stdout, stderr and exit code of main, against main with all four subparsers built
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("steps=50\nbogus=1\n")  # a curves key, then a key of no subcommand
+    argv = [str(cfg) if a == "{cfg}" else a for a in argv]
+
+    def run():
+        try:
+            rc = cli.main(argv)
+        except SystemExit as err:
+            rc = err.code
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    got = run()
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: build())
+    assert got == run()
+    assert got[0] in (0, 2)
+
+
+@pytest.mark.parametrize("command", ["verify", "curves", "mc", "localtime"])
+def test_parser_for_a_subcommand_builds_only_it(command):
+    (sub,) = [a for a in cli._build_parser(command)._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == [command]
+    assert cli._build_parser(command).format_usage() == cli._build_parser().format_usage()
 
 
 def test_bad_flag_exits_two():

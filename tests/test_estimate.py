@@ -15,6 +15,7 @@ from tubebound.errors import DomainError
 from tubebound.estimate import (
     _DRAW_BLOCK,
     MCEstimate,
+    _binomial_stderr,
     estimates_to_csv,
     _bridge_crossing,
     bridge_local_time,
@@ -308,6 +309,27 @@ def test_tail_prob_rare_event_stderr_positive():
     est = tail_prob(EuclideanAffine(m=1, n=0), 50.0, 1.0, False, 2_000, None, seed=63)
     assert est.mean == 0.0
     assert est.stderr > 0.0
+
+
+def test_tail_prob_near_certain_event_stderr_positive():
+    est = tail_prob(EuclideanAffine(m=3), 0.01, 1.0, False, 1000, None, 3)
+    assert est.mean == 1.0
+    assert est.stderr == _binomial_stderr(0.0, 1000) > 0.0
+
+
+def test_binomial_stderr_symmetric_in_p():
+    # k / 1024 and 1 - k / 1024 are exact, so the two sides must agree bit for bit,
+    # across the Wilson switch at 0.05 and 0.95
+    for n in (1, 2, 7, 1000, 10**6):
+        for k in range(1025):
+            p = k / 1024
+            assert _binomial_stderr(p, n) == _binomial_stderr(1.0 - p, n) > 0.0, (p, n)
+
+
+def test_mc_path_mean_needs_two_paths():
+    with pytest.raises(DomainError, match="n >= 2"):
+        mc_path_mean(EuclideanAffine(m=1, n=0), 0.01, 1.0, 1, 3, lambda v: v[:, -1])
+    assert mc_path_mean(EuclideanAffine(m=1, n=0), 0.01, 1.0, 2, 3, lambda v: v[:, -1]).stderr > 0.0
 
 
 def test_tail_prob_sup_mode_reports_the_partitions_it_used():
