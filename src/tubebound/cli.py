@@ -1,7 +1,7 @@
 """Experiment runner: verify / curves / mc / localtime.
 
 Configuration comes from flags, optionally seeded by a key=value file
-(flags win). Every artifact written (CSV, SVG, path dumps) is a pure
+(flags win). Every artifact written (CSV, SVG) is a pure
 function of config + seed + partitions, so reruns are byte-identical.
 
 Exit codes: 0 all comparisons pass, 1 a comparison failed, 2 bad config.
@@ -9,7 +9,6 @@ Exit codes: 0 all comparisons pass, 1 a comparison failed, 2 bad config.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -26,31 +25,19 @@ from .bounds import (
     exp_sq_curve,
 )
 from .errors import DomainError
-from .estimate import (
-    bridge_local_time,
-    estimates_to_csv,
-    mc_exp_moment,
-    mc_moment,
-    mc_path_mean,
-    tail_prob,
-)
-from .modelspaces import (
-    SCENARIOS,
-    CirclePoint,
-    LyapunovParams,
-    Scenario,
-    lyapunov_params,
-    revuz_mean_local_time,
-    scenario_from_kv,
-)
-from .simulate import sample_paths, write_path_dump
-from .verify import DEFAULT_SEED, run_all
+from .estimate import estimates_to_csv, mc_exp_moment, mc_moment, tail_prob
+from .modelspaces import SCENARIOS, LyapunovParams, Scenario, lyapunov_params, scenario_from_kv
+from .verify import DEFAULT_SEED, Check, local_time_mean, run_all
 
 _ENV_SEED = "TUBEBOUND_SEED"
 
 
 def _default_seed() -> int:
-    return int(os.environ.get(_ENV_SEED, DEFAULT_SEED))
+    value = os.environ.get(_ENV_SEED)
+    try:
+        return DEFAULT_SEED if value is None else int(value)
+    except ValueError:
+        raise DomainError(f"{_ENV_SEED} must be an integer, got {value!r}") from None
 
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
@@ -63,12 +50,13 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _build_scenario(args: argparse.Namespace, kind: str) -> Scenario:
-    """Scenario `kind` from the flags given that are fields of it (--n-dim is n)."""
+    """Scenario `kind` from the scenario flags given (--n-dim is n); a flag
+    that is not a field of the scenario is a config error."""
     kv: dict[str, object] = {"kind": kind}
-    for f in dataclasses.fields(SCENARIOS[kind]):
-        value = getattr(args, "n_dim" if f.name == "n" else f.name)
+    for flag in ("m", "n_dim", "kappa", "radius", "r0"):
+        value = getattr(args, flag)
         if value is not None:
-            kv[f.name] = value
+            kv["n" if flag == "n_dim" else flag] = value
     return scenario_from_kv(kv)
 
 
@@ -247,7 +235,6 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 def _cmd_mc(args: argparse.Namespace) -> int:
     s = _build_scenario(args, args.scenario or "flat")
     lp = lyapunov_params(s)
-    rows = []
     if args.theta is not None:
         est = mc_exp_moment(s, args.theta, args.t, True, args.n, args.seed, args.partitions)
         bound = exp_sq_bound(lp, s.r0, args.t, args.theta)
@@ -267,55 +254,45 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         est = mc_moment(s, p, args.t, args.n, args.seed, args.partitions)
         bound = even_moment_bound(lp, s.r0, args.t, p)
         name = f"moment_p={p}"
-    ok = est.mean - 3.0 * est.stderr <= bound
+    ok = Check(name, est.mean, "<=", bound, 3.0 * est.stderr).ok
     print(
         f"{name} t={args.t:g}: mc mean={est.mean:.6g} stderr={est.stderr:.3g} "
         f"bound={bound:.6g} -> {'PASS' if ok else 'FAIL'}"
     )
-    rows.append((name, est))
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _fresh(out / "mc_results.csv").write_text(estimates_to_csv(rows))
+        _fresh(out / "mc_results.csv").write_text(estimates_to_csv([(name, est)]))
         print(f"wrote {out / 'mc_results.csv'}")
     return 0 if ok else 1
+
+
+# the name, default t and tolerance of each localtime job; local_time_mean
+# rejects the other scenarios
+_LOCALTIME_JOBS = {"circle": ("circle_cut_locus", 20.0, 0.05), "sphere": ("sphere_shell", 1.0, 0.10)}
 
 
 def _cmd_localtime(args: argparse.Namespace) -> int:
     if args.t is not None and args.scenario is None:
         raise DomainError("--t needs --scenario circle or sphere (the two jobs run at different t)")
-    jobs = []
-    if args.scenario in (None, "circle"):
-        t = 20.0 if args.t is None else args.t
-        # the cut locus of the start is the antipode, at distance pi
-        truth = revuz_mean_local_time(CirclePoint(r0=math.pi), t)
-        jobs.append(("circle_cut_locus", CirclePoint(r0=0.0), lambda v: math.pi - v, t, truth, 0.05))
-    if args.scenario in (None, "sphere"):
-        t = 1.0 if args.t is None else args.t
-        s = _build_scenario(args, "sphere")
-        jobs.append(("sphere_shell", s, lambda v: v, t, revuz_mean_local_time(s, t), 0.10))
-    if args.scenario == "flat" or args.scenario == "h3":
-        print(f"localtime supports circle and sphere scenarios, not {args.scenario}", file=sys.stderr)
-        return 2
-
-    out = Path(args.out) if args.out else None
-    if out:
-        out.mkdir(parents=True, exist_ok=True)
+    # every scenario is built before a job runs, so that a bad flag prints no result
+    scenarios = [_build_scenario(args, kind) for kind in ([args.scenario] if args.scenario else _LOCALTIME_JOBS)]
     rows = []
     status = 0
-    for name, s, distance, t, truth, tol in jobs:
-        est = mc_path_mean(s, args.dt, t, args.n, args.seed, lambda v: bridge_local_time(distance(v), args.dt))
-        if args.dump_paths and out:
-            with open(_fresh(out / f"localtime_{name}_path0.bin"), "wb") as fh:
-                write_path_dump(args.dt, sample_paths(s, args.dt, t, args.seed, 0, 1)[0], fh)
-        ok = abs(est.mean - truth) <= tol * truth
+    for s in scenarios:
+        name, t, tol = _LOCALTIME_JOBS.get(s.kind, (s.kind, 1.0, 0.0))
+        t = t if args.t is None else args.t
+        est, truth = local_time_mean(s, t, args.n, args.dt, args.seed)
+        ok = Check(name, est.mean, "vs", truth, tol * truth).ok
         status |= 0 if ok else 1
         print(
             f"{name} t={t:g}: mc mean={est.mean:.5f} stderr={est.stderr:.5f} "
             f"closed form={truth:.5f} (tol {tol:.0%}) -> {'PASS' if ok else 'FAIL'}"
         )
         rows.append((name, est))
-    if out:
+    if args.out:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
         _fresh(out / "localtime_results.csv").write_text(estimates_to_csv(rows))
         print(f"wrote {out / 'localtime_results.csv'}")
     return status
@@ -366,7 +343,6 @@ def _add_localtime(sub) -> None:
     p.add_argument("--dt", type=float, default=1e-2)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--out", default=None)
-    p.add_argument("--dump-paths", action="store_true")
     p.add_argument("--config", default=None)
     p.set_defaults(fn=_cmd_localtime)
 
@@ -399,9 +375,10 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser(argv[0] if argv else None)
-    # find the subcommand parser to honor a config file, flags winning
+    # the parser reads TUBEBOUND_SEED for its defaults; then find the
+    # subcommand parser to honor a config file, flags winning
     try:
+        parser = _build_parser(argv[0] if argv else None)
         pre, _ = parser.parse_known_args(argv)
         if getattr(pre, "config", None):
             sub_actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]

@@ -20,9 +20,7 @@ the workers or the range that consume it.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from typing import BinaryIO
 
 import numpy as np
 
@@ -35,8 +33,6 @@ from .modelspaces import (
     SphereInEuclidean,
 )
 
-DUMP_MAGIC = b"TBND"
-DUMP_VERSION = 1
 _PATH_BLOCK = 1 << 16  # path values, rows x (steps + 1), of a block of sample_paths
 
 
@@ -215,23 +211,3 @@ def _radius(pos: np.ndarray) -> np.ndarray:
         sq += pos[..., i]
     return np.sqrt(sq, out=sq)
 
-
-def write_path_dump(dt: float, values: np.ndarray, fh: BinaryIO) -> None:
-    """Binary dump of a path on the grid k*dt: magic TBND, version u32, count u64, dt f64, values f64."""
-    fh.write(DUMP_MAGIC)
-    fh.write(struct.pack("<IQd", DUMP_VERSION, len(values), dt))
-    fh.write(np.asarray(values, dtype="<f8").tobytes())
-
-
-def read_path_dump(fh: BinaryIO) -> tuple[float, np.ndarray]:
-    """Read a dump written by write_path_dump; returns (dt, values)."""
-    magic = fh.read(4)
-    if magic != DUMP_MAGIC:
-        raise DomainError(f"bad magic {magic!r}, expected {DUMP_MAGIC!r}")
-    version, count, dt = struct.unpack("<IQd", fh.read(20))
-    if version != DUMP_VERSION:
-        raise DomainError(f"unsupported dump version {version}")
-    values = np.frombuffer(fh.read(8 * count), dtype="<f8")
-    if values.size != count:
-        raise DomainError(f"truncated dump: expected {count} values, got {values.size}")
-    return dt, values

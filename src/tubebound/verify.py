@@ -5,7 +5,9 @@ A criterion returns its checks as records (`Check`): the number, what it is
 compared with, the tolerance and, for a Monte Carlo mean, its standard
 error; pass/fail and the printed line are views of those records. The CLI
 `verify` command and the acceptance test module both run this registry;
-quick mode cuts most Monte Carlo sizes by a factor of ten.
+quick mode cuts most Monte Carlo sizes by a factor of ten. The CLI
+`localtime` command runs the local-time criteria's experiment,
+`local_time_mean`, at its own n, dt, t and seed.
 """
 from __future__ import annotations
 
@@ -25,12 +27,14 @@ from .bounds import (
     logsob_bound,
     second_moment_bound,
 )
+from .errors import DomainError
 from .estimate import MCEstimate, bridge_local_time, mc_exp_moment, mc_mean, mc_moment, mc_path_mean
 from .modelspaces import (
     CirclePoint,
     EuclideanAffine,
     HyperbolicH3Point,
     LyapunovParams,
+    Scenario,
     SphereInEuclidean,
     exact_exp_moment,
     revuz_mean_local_time,
@@ -165,13 +169,25 @@ def crit_h3_off_pole(quick: bool, seed: int) -> CriterionResult:
     return CriterionResult("h3-off-pole", checks)
 
 
+def local_time_mean(s: Scenario, t: float, n: int, dt: float, seed: int) -> tuple[MCEstimate, float]:
+    """The bridge estimate of a mean local time over n paths of step dt, and
+    its closed form: on the circle from N (r0 = 0) at N's cut locus, the
+    antipode at distance pi - r; on the sphere at its shell, at distance r."""
+    if isinstance(s, CirclePoint) and s.r0 == 0.0:
+        distance, target = lambda v: math.pi - v, CirclePoint(r0=math.pi)
+    elif isinstance(s, SphereInEuclidean):
+        distance, target = lambda v: v, s
+    else:
+        raise DomainError(f"local time is measured on the circle from r0 = 0 and on the sphere, not {s}")
+    est = mc_path_mean(s, dt, t, n, seed, lambda v: bridge_local_time(distance(v), dt))
+    return est, revuz_mean_local_time(target, t)
+
+
 def crit_circle_cut_locus_local_time(quick: bool, seed: int) -> CriterionResult:
-    # the bridge local time at the antipode (distance pi - r) is exact at any
-    # dt, so the check is 3 sigma with no bias budget, and quick mode keeps n;
-    # the target is t/2pi - pi/6
+    # the bridge local time at the antipode is exact at any dt, so the check is
+    # 3 sigma with no bias budget, and quick mode keeps n; the target is t/2pi - pi/6
     n, dt, t = 10_000, 0.1, 20.0
-    est = mc_path_mean(CirclePoint(r0=0.0), dt, t, n, seed + 5, lambda v: bridge_local_time(math.pi - v, dt))
-    want = revuz_mean_local_time(CirclePoint(r0=math.pi), t)
+    est, want = local_time_mean(CirclePoint(), t, n, dt, seed + 5)
     return CriterionResult("circle-cut-locus-local-time", [_mc(f"n={n}, dt={dt}: mc", est, want)])
 
 
@@ -181,9 +197,7 @@ def crit_sphere_local_time(quick: bool, seed: int) -> CriterionResult:
     # at radius 1 the local time is also its value per unit radius, Gamma(0, 0.5)
     n = 1_000 if quick else 10_000
     dt, t, bias = 1e-2, 1.0, 0.002
-    s = SphereInEuclidean(m=2, radius=1.0)
-    est = mc_path_mean(s, dt, t, n, seed + 6, lambda v: bridge_local_time(v, dt))
-    want = revuz_mean_local_time(s, t)
+    est, want = local_time_mean(SphereInEuclidean(m=2, radius=1.0), t, n, dt, seed + 6)
     return CriterionResult("sphere-local-time", [_mc(f"n={n}, dt={dt}: mc/r", est, want, bias)])
 
 

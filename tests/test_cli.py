@@ -2,12 +2,9 @@ import argparse
 import math
 import re
 
-import numpy as np
 import pytest
 
-from tubebound import cli
-from tubebound.modelspaces import SphereInEuclidean
-from tubebound.simulate import read_path_dump, sample_paths
+from tubebound import cli, verify
 
 from oracles import curve_csv_by_point, polyline_points_by_point
 
@@ -165,7 +162,7 @@ def test_mc_csv_byte_identical(tmp_path):
 RERUN_COMMANDS = [
     ["curves", "--R", "-1", "0", "--steps", "40"],
     ["mc", "--scenario", "h3", "--t", "0.5", "--n", "2000", "--partitions", "2"],
-    ["localtime", "--scenario", "sphere", "--n", "2000", "--dt", "1e-2", "--dump-paths"],
+    ["localtime", "--scenario", "sphere", "--n", "2000", "--dt", "1e-2"],
 ]
 
 
@@ -218,20 +215,37 @@ def test_localtime_circle(capsys):
     assert "circle_cut_locus" in capsys.readouterr().out
 
 
-def test_localtime_sphere_with_dump(tmp_path, capsys):
-    rc = cli.main(
-        ["localtime", "--scenario", "sphere", "--n", "400", "--dt", "5e-4",
-         "--out", str(tmp_path), "--dump-paths"]
-    )
+def test_localtime_sphere_writes_results_csv(tmp_path, capsys):
+    rc = cli.main(["localtime", "--scenario", "sphere", "--n", "400", "--dt", "5e-4", "--out", str(tmp_path)])
     assert rc == 0
-    dump = tmp_path / "localtime_sphere_shell_path0.bin"
-    assert dump.exists()
-    with open(dump, "rb") as fh:
-        dt, values = read_path_dump(fh)
-    assert dt == 5e-4
-    assert values[0] == 1.0  # starts at the centre, distance = radius
-    assert np.array_equal(values, sample_paths(SphereInEuclidean(), 5e-4, 1.0, cli._default_seed(), 0, 1)[0])
-    assert (tmp_path / "localtime_results.csv").exists()
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["localtime_results.csv"]
+    header, rows = _read_csv_rows(tmp_path / "localtime_results.csv")
+    assert header == ["quantity", "mean", "stderr", "n", "seed", "partitions"]
+    assert [r[0] for r in rows] == ["sphere_shell"]
+    assert rows[0][3:5] == ["400", str(cli._default_seed())]
+
+
+def test_localtime_circle_is_the_verify_criterion(capsys):
+    # one definition serves both: the CLI at the criterion's n, dt and seed
+    # prints the criterion's mean and stderr
+    (check,) = verify.crit_circle_cut_locus_local_time(False, verify.DEFAULT_SEED).checks
+    argv = ["localtime", "--scenario", "circle", "--n", "10000", "--dt", "0.1", "--seed", str(verify.DEFAULT_SEED + 5)]
+    assert cli.main(argv) == 0
+    assert f"mc mean={check.value:.5f} stderr={check.stderr:.5f} " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scenario", "h3"], ["--scenario", "circle", "--r0", "0.3"],
+    ["--scenario", "sphere", "--r0", "0.3"], ["--radius", "0.7"],
+])
+def test_localtime_scenarios_without_an_experiment_exit_two(argv, tmp_path, capsys):
+    # local time is measured from N on the circle and at the sphere's shell; any
+    # other scenario, and a flag of no job's scenario, is a config error
+    assert cli.main(["localtime", *argv, "--n", "100", "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_mc_non_finite_scenario_parameter_exits_two(capsys):
@@ -250,8 +264,32 @@ def test_negative_seed_exits_two(cmd, seed, capsys):
 
 def test_scenario_defaults_and_inapplicable_flags(capsys):
     # flat defaults to m=3, n=0 (E r^2 = 3t); --radius is not a flat field
-    assert cli.main(["mc", "--n", "200", "--radius", "5"]) == 0
+    assert cli.main(["mc", "--n", "200"]) == 0
     assert "bound=3 " in capsys.readouterr().out
+    assert cli.main(["mc", "--n", "200", "--radius", "5"]) == 2
+    captured = capsys.readouterr()
+    assert "unknown scenario keys for kind=flat: ['radius']" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scenario", "sphere", "--r0", "0.3"], ["--scenario", "circle", "--kappa", "-1"],
+    ["--scenario", "h3", "--m", "3"], ["--scenario", "circle", "--n-dim", "0"],
+])
+def test_mc_flag_the_scenario_lacks_exits_two(argv, capsys):
+    assert cli.main(["mc", *argv, "--n", "200"]) == 2
+    captured = capsys.readouterr()
+    assert "unknown scenario keys" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("cmd", [["mc", "--n", "200"], ["verify", "--quick"], ["localtime", "--n", "20"]])
+def test_non_integer_env_seed_exits_two(cmd, monkeypatch, capsys):
+    monkeypatch.setenv("TUBEBOUND_SEED", "abc")
+    assert cli.main(cmd) == 2
+    captured = capsys.readouterr()
+    assert "TUBEBOUND_SEED must be an integer, got 'abc'" in captured.err
+    assert captured.out == ""
 
 
 def test_localtime_rejects_flat(capsys):

@@ -1,5 +1,4 @@
 import hashlib
-import io
 import math
 
 import numpy as np
@@ -17,12 +16,10 @@ from tubebound.modelspaces import (
 )
 from tubebound.simulate import (
     PathSample,
-    read_path_dump,
     sample_distances,
     sample_path,
     sample_paths,
     stream,
-    write_path_dump,
 )
 
 from oracles import cartesian_distances, h3_moment_quad
@@ -222,34 +219,6 @@ def test_path_rejects_bad_grid():
         sample_path(CirclePoint(), 2.0, 1.0, seed=1)
     with pytest.raises(DomainError):
         sample_path(CirclePoint(), -0.1, 1.0, seed=1)
-
-
-# --------------------------------------------------------------- binary dump
-
-def test_path_dump_round_trip():
-    s = CirclePoint(r0=0.25)
-    path = sample_path(s, 0.05, 1.0, seed=99, index=0)
-    buf = io.BytesIO()
-    write_path_dump(path.dt, path.values, buf)
-    raw = buf.getvalue()
-    assert raw[:4] == b"TBND"
-    assert len(raw) == 4 + 4 + 8 + 8 + 8 * len(path.values)
-    buf.seek(0)
-    dt, values = read_path_dump(buf)
-    assert dt == path.dt
-    assert np.array_equal(values, path.values)
-
-
-def test_path_dump_rejects_corruption():
-    s = CirclePoint(r0=0.25)
-    path = sample_path(s, 0.05, 1.0, seed=99, index=0)
-    buf = io.BytesIO()
-    write_path_dump(path.dt, path.values, buf)
-    raw = buf.getvalue()
-    with pytest.raises(DomainError):
-        read_path_dump(io.BytesIO(b"XXXX" + raw[4:]))
-    with pytest.raises(DomainError):
-        read_path_dump(io.BytesIO(raw[:-8]))
 
 
 def test_path_sample_validates_dt():
