@@ -1,18 +1,20 @@
 """Monte Carlo functionals: moments, exponential moments, tail probabilities
 and local times, the path ones conditioned on the bridge between grid points.
 
-Draw-based estimators split n over `partitions` streams, partition i
-drawn from simulate.stream(seed, i) (SFC64, seeded by SeedSequence((seed,
-i))), draw each stream in blocks of _DRAW_BLOCK and reduce partial sums in
-fixed order, so results are bit-reproducible for a given (seed, partitions)
-and bounded in memory whatever n; they run on one thread. Path-based ones
-run sample_paths' blocks of paths, block b from stream(seed, b), on a
-thread pool, so neither n nor the worker count changes path k.
+Draw-based estimators split n over `partitions` partitions and each
+partition into blocks of at most _DRAW_BLOCK draws, block j of partition i
+drawn from simulate.stream(seed, i, j). The blocks return partial sums,
+reduced in (i, j) order, so results are bit-reproducible for a given (seed,
+partitions) whatever the worker count, and bounded in memory whatever n.
+Path-based ones take sample_paths' blocks of paths, block b from
+stream(seed, b), so neither n nor the worker count changes path k. Both kinds
+of block run on one pool of _WORKERS threads, kept for the process (_map).
 """
 from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -27,6 +29,10 @@ _EXP_GUARD = 700.0
 _WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 _DRAW_BLOCK = 1 << 15  # endpoint draws per block: under 2 MB of arrays per call whatever n
 PathFn = Callable[[np.ndarray], np.ndarray]
+_pool, _pool_lock = None, threading.Lock()  # made on first use and kept
+_in_worker = threading.local()  # .set in the pool's own threads
+if hasattr(os, "register_at_fork"):  # a forked child has the pool object but none of its threads
+    os.register_at_fork(after_in_child=lambda: globals().update(_pool=None, _pool_lock=threading.Lock()))
 
 
 @dataclass(frozen=True)
@@ -48,12 +54,33 @@ def _partition_sizes(n: int, partitions: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(partitions)]
 
 
-def _draw_blocks(s: Scenario, t: float, n: int, seed: int, partitions: int) -> Iterable[np.ndarray]:
-    # n exact endpoint draws, partition i from stream(seed, i), _DRAW_BLOCK at a time
-    for i, size in enumerate(_partition_sizes(n, partitions)):
-        rng = stream(seed, i)
-        for done in range(0, size, _DRAW_BLOCK):
-            yield sample_distances(s, t, rng, min(_DRAW_BLOCK, size - done))
+def _map(fn: Callable, items) -> list:
+    """[fn(x) for x in items] on the kept pool of _WORKERS threads (numpy
+    releases the GIL). A map called from a pool thread, as by an fn that
+    calls an estimator, runs inline, so it never waits on the pool it holds."""
+    global _pool
+    if _WORKERS == 1 or len(items) < 2 or getattr(_in_worker, "set", False):
+        return [fn(x) for x in items]
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor  # here, so that `import tubebound` stays lean
+
+            _pool = ThreadPoolExecutor(_WORKERS, initializer=setattr, initargs=(_in_worker, "set", True))
+    return list(_pool.map(fn, items))
+
+
+def _draw_blocks(n: int, partitions: int) -> list[tuple[int, int, int]]:
+    # (i, j, size) of each block of n endpoint draws: partition i's draws
+    # j * _DRAW_BLOCK onward, drawn from stream(seed, i, j) by _draws
+    if n < 100:
+        raise DomainError(f"need n >= 100, got {n}")
+    sizes = _partition_sizes(n, partitions)
+    return [(i, k // _DRAW_BLOCK, min(_DRAW_BLOCK, size - k)) for i, size in enumerate(sizes)
+            for k in range(0, size, _DRAW_BLOCK)]
+
+
+def _draws(s: Scenario, t: float, seed: int, block: tuple[int, int, int]) -> np.ndarray:
+    return sample_distances(s, t, stream(seed, block[0], block[1]), block[2])
 
 
 def mc_mean(
@@ -64,31 +91,34 @@ def mc_mean(
     Values of fn that are not finite (an overflow) are dropped and counted
     in the `overflow` field as a heavy-tail warning; a sum of squares that
     overflows makes the stderr inf. Squares are summed about the first
-    block's mean, so a mean far above the spread does not cancel the variance.
-    A sum of kept values past the float range is carried in units of 2**64,
-    so the mean stays finite.
+    block's mean, so a mean far above the spread does not cancel the variance:
+    that block runs first, the others on the pool. A sum of kept values past
+    the float range is carried in units of 2**64, so the mean stays finite.
     """
-    if n < 100:
-        raise DomainError(f"need n >= 100, got {n}")
-    total = total_sq = shift = 0.0
-    kept, unit = 0, 1.0  # the kept values sum to total / unit
-    for draws in _draw_blocks(s, t, n, seed, partitions):
-        with np.errstate(over="ignore"):  # an overflow is counted below, and inf stderr is the honest answer
-            vals = fn(draws)
+    blocks = _draw_blocks(n, partitions)
+
+    def sums(shift: float | None, block) -> tuple[int, float, float, float, float | None]:
+        # kept count, sum, sum in units of 2**64, sum of squares about shift
+        # (the block's mean if None) and that shift, of one block's finite values
+        with np.errstate(over="ignore"):  # here: errstate is per thread. An overflow is counted, inf stderr is honest
+            vals = fn(_draws(s, t, seed, block))
             vals = vals[np.isfinite(vals)]
-            shift = float(np.mean(vals)) if kept == 0 and vals.size else shift
-            total_sq += float(np.sum((vals - shift) ** 2))
-            if unit == 1.0:
-                part = float(np.sum(vals))
-                if not math.isfinite(total + part):
-                    unit, total = 2.0**-64, total * 2.0**-64
-            if unit != 1.0:
-                part = float(np.sum(vals * unit))
-        kept += vals.size
-        total += part
+            shift = float(np.mean(vals)) if shift is None and vals.size else shift
+            part = float(np.sum(vals))
+            scaled = part * 2.0**-64 if math.isfinite(part) else float(np.sum(vals * 2.0**-64))
+            sq = vals - (shift or 0.0)
+            return vals.size, part, scaled, float(np.sum(np.square(sq, out=sq))), shift
+
+    head = [sums(None, blocks[0])]  # up to the first block with a finite value
+    while head[-1][4] is None and len(head) < len(blocks):
+        head.append(sums(None, blocks[len(head)]))
+    shift = head[-1][4]
+    kept, total, scaled, total_sq = 0, 0.0, 0.0, 0.0
+    for size, part, part_scaled, sq, _ in head + _map(lambda b: sums(shift, b), blocks[len(head) :]):
+        kept, total, scaled, total_sq = kept + size, total + part, scaled + part_scaled, total_sq + sq
     if kept == 0:
         raise DomainError(f"all {n} values were not finite; no estimate possible")
-    mean = total / kept / unit
+    mean = total / kept if math.isfinite(total) else scaled / kept / 2.0**-64
     gap, var = mean - shift, math.inf
     if math.isfinite(total_sq) and math.isfinite(mean):
         var = max(total_sq - kept * gap * gap, 0.0) / max(kept - 1, 1)
@@ -125,18 +155,15 @@ def path_functional(s: Scenario, dt: float, T: float, n: int, seed: int, fn: Pat
 
     fn maps a (rows, steps + 1) block of paths to an array whose first axis
     has one entry per row; the entries are returned in path order. The blocks
-    are sample_paths' own (block_rows paths, one stream each), run on _WORKERS
-    threads (numpy releases the GIL), so memory stays bounded whatever n and
-    the result has the same bits for any n and worker count.
+    are sample_paths' own (block_rows paths, one stream each), run on _map's
+    pool of _WORKERS threads, so memory stays bounded whatever n and the
+    result has the same bits for any n and worker count.
     """
     if n < 1:
         raise DomainError(f"need n >= 1 paths, got {n}")
     rows = block_rows(grid_steps(dt, T))
     block = lambda i: fn(sample_paths(s, dt, T, seed, i, min(rows, n - i)))
-    from concurrent.futures import ThreadPoolExecutor  # here, so that `import tubebound` stays lean
-
-    with ThreadPoolExecutor(_WORKERS) as pool:
-        return np.concatenate(list(pool.map(block, range(0, n, rows))))
+    return np.concatenate(_map(block, range(0, n, rows)))
 
 
 def mc_path_mean(s: Scenario, dt: float, T: float, n: int, seed: int, fn: PathFn) -> MCEstimate:
@@ -203,9 +230,9 @@ def tail_prob(
 ) -> MCEstimate:
     """Probability of r_N(X_t) >= r, or of sup_{s<=t} r_N >= r.
 
-    Point mode counts exact endpoint draws, with the Wilson half-width as
-    standard error within 0.05 of 0 or 1 (no zero-stderr artifacts at rare
-    or near-certain events).
+    Point mode counts n >= 100 exact endpoint draws, with the Wilson
+    half-width as standard error within 0.05 of 0 or 1 (no zero-stderr
+    artifacts at rare or near-certain events).
     Sup mode averages over paths at step dt each one's bridge-crossing
     probability given its grid (no grid-monitoring bias), with partitions 1 only.
     """
@@ -217,7 +244,7 @@ def tail_prob(
         if partitions != 1:
             raise DomainError(f"sup mode runs one stream per block of paths: need partitions 1, got {partitions}")
         return mc_path_mean(s, dt, t, n, seed, lambda v: _bridge_crossing(v, r, dt))
-    phat = sum(int(np.count_nonzero(draws >= r)) for draws in _draw_blocks(s, t, n, seed, partitions)) / n
+    phat = sum(_map(lambda b: int(np.count_nonzero(_draws(s, t, seed, b) >= r)), _draw_blocks(n, partitions))) / n
     return MCEstimate(
         mean=phat, stderr=_binomial_stderr(phat, n), n=n, seed=seed, partitions=partitions
     )

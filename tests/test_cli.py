@@ -207,6 +207,15 @@ def test_one_path_exits_two(argv, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("n", ["1", "50"])
+def test_mc_point_tail_needs_n_100(n, capsys):
+    # as for the moments: one draw must not pass the concentration check
+    assert cli.main(["mc", "--r", "2", "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert "need n >= 100" in captured.err
+    assert captured.out == ""
+
+
 # ------------------------------------------------------------------ localtime
 
 def test_localtime_circle(capsys):

@@ -11,6 +11,7 @@ from scipy.special import erfcx
 
 import tubebound
 
+from tubebound import estimate
 from tubebound.errors import DomainError
 from tubebound.estimate import (
     _DRAW_BLOCK,
@@ -70,16 +71,16 @@ def test_mc_moment_reproducible_bit_for_bit():
 
 
 def test_mc_reduce_consumes_each_stream_in_draw_blocks():
-    # n = 3 blocks + 17 over 2 partitions: each stream gives one full block and
-    # a short one, reduced block by block in order, squares about the first block's mean
+    # n = 3 blocks + 17 over 2 partitions: each partition is one full block and
+    # a short one, block j of partition i drawn from stream(seed, i, j), reduced
+    # block by block in (i, j) order, squares about the first block's mean
     s, t, seed, n = HyperbolicH3Point(r0=0.7), 1.0, 12, 3 * _DRAW_BLOCK + 17
     total = total_sq = 0.0
     shift = None
     hits = 0
     for i, size in enumerate((n - n // 2, n // 2)):
-        rng = stream(seed, i)
-        for k in (_DRAW_BLOCK, size - _DRAW_BLOCK):
-            draws = sample_distances(s, t, rng, k)
+        for j, k in enumerate((_DRAW_BLOCK, size - _DRAW_BLOCK)):
+            draws = sample_distances(s, t, stream(seed, i, j), k)
             sq = draws**2
             shift = float(np.mean(sq)) if shift is None else shift
             total += float(np.sum(sq))
@@ -90,6 +91,113 @@ def test_mc_reduce_consumes_each_stream_in_draw_blocks():
     stderr = math.sqrt(max(total_sq - n * gap * gap, 0.0) / (n - 1) / n)
     assert mc_mean(s, t, n, seed, lambda r: r**2, 2) == MCEstimate(mean, stderr, n, seed, 2, 0)
     assert tail_prob(s, 2.5, t, False, n, None, seed, 2).mean == hits / n
+
+
+def _use_workers(monkeypatch, workers):
+    # a pool of `workers` threads from the next map on
+    monkeypatch.setattr(estimate, "_WORKERS", workers)
+    monkeypatch.setattr(estimate, "_pool", None)
+
+
+@pytest.mark.parametrize("partitions", [1, 2, 3])
+@pytest.mark.parametrize("n", [100, _DRAW_BLOCK, 3 * _DRAW_BLOCK + 17])
+def test_endpoint_estimates_bit_identical_for_any_worker_count(n, partitions, monkeypatch):
+    # one block, one block per partition, and partitions of several blocks, a ragged last one
+    s, t = HyperbolicH3Point(r0=0.7), 1.0
+    calls = [
+        lambda: mc_moment(s, 2, t, n, 3, partitions),
+        lambda: mc_exp_moment(s, 0.2, t, True, n, 4, partitions),
+        lambda: mc_exp_moment(s, 0.5, t, False, n, 5, partitions),
+        lambda: tail_prob(s, 2.5, t, False, n, None, 6, partitions),
+        lambda: mc_mean(s, t, n, 7, np.cosh, partitions),
+    ]
+    runs, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads swap as often as they can
+    try:
+        for workers in (1, 2, 3):
+            _use_workers(monkeypatch, workers)
+            runs.append([call() for call in calls])
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    assert [est.n for est in runs[0]] == [n] * 5
+
+
+@pytest.mark.parametrize(
+    "call,want",
+    [
+        (lambda: mc_moment(HyperbolicH3Point(r0=0.7), 1, 1.0, 2 * _DRAW_BLOCK, 12, 2),
+         (4.801819980778577, 0.01451684984967096)),
+        (lambda: mc_exp_moment(SphereInEuclidean(m=3, radius=1.0), 0.3, 1.0, False, 3 * _DRAW_BLOCK - 1, 13, 3),
+         (1.253624928287692, 0.0007362985258380617)),
+        (lambda: tail_prob(EuclideanAffine(m=3, n=0), 2.0, 1.0, False, 3 * _DRAW_BLOCK, None, 14, 3),
+         (0.2624308268229167, 0.0014032117350493106)),
+        (lambda: mc_mean(HyperbolicH3Point(kappa=-2.0), 0.5, _DRAW_BLOCK, 15, np.cosh),
+         (2.3186253351939996, 0.007461598074840775)),
+    ],
+    ids=["moment", "exp", "tail", "mean"],
+)
+def test_one_block_partitions_golden(call, want):
+    # partitions of at most one block each draw only from stream(seed, i, 0) =
+    # stream(seed, i), in one call each: these estimates are pinned bit for bit
+    est = call()
+    assert (est.mean, est.stderr, est.overflow) == (*want, 0)
+
+
+def _run_python(code: str, timeout: float = 60.0) -> str:
+    # code in a fresh interpreter with a pool of 2 threads, whatever the CPUs:
+    # a hang fails the test at the timeout instead of stalling the run
+    src = os.path.dirname(os.path.dirname(tubebound.__file__))
+    code = "from tubebound import estimate\nestimate._WORKERS = 2\n" + code
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=timeout
+    ).stdout
+
+
+def test_child_forked_after_the_pool_ran_gets_its_own():
+    # the child inherits the pool object but not its threads: it makes a pool
+    # of its own and computes the parent's estimate (alarm: a hung child dies)
+    code = """
+import os, signal
+from tubebound.modelspaces import HyperbolicH3Point
+args = (HyperbolicH3Point(r0=0.7), 1, 1.0, 3 * estimate._DRAW_BLOCK, 8, 2)
+want, parent_pool = repr(estimate.mc_moment(*args)), estimate._pool
+r, w = os.pipe()
+pid = os.fork()
+if pid == 0:
+    signal.alarm(20)
+    got = repr(estimate.mc_moment(*args))
+    os.write(w, f"{got == want} {estimate._pool not in (None, parent_pool)}".encode())
+    os._exit(0)
+os.close(w)
+print(os.read(r, 4096).decode(), parent_pool is not None)
+os.waitpid(pid, 0)
+"""
+    assert _run_python(code).split() == ["True", "True", "True"]
+
+
+def test_estimator_inside_a_pool_worker_runs_inline():
+    # an fn that calls an estimator maps from a pool thread: that map runs
+    # inline instead of waiting on the pool it holds, with the same bits
+    code = """
+from tubebound.modelspaces import HyperbolicH3Point
+s = HyperbolicH3Point(r0=0.7)
+fn = lambda r: r + estimate.mc_moment(s, 1, 1.0, 3 * estimate._DRAW_BLOCK, int(r.size)).mean
+pooled = estimate.mc_mean(s, 1.0, 3 * estimate._DRAW_BLOCK + 17, 4, fn, 2)
+estimate._WORKERS = 1
+print(pooled == estimate.mc_mean(s, 1.0, 3 * estimate._DRAW_BLOCK + 17, 4, fn, 2))
+"""
+    assert _run_python(code).strip() == "True"
+
+
+def test_interpreter_with_a_pool_exits_promptly():
+    code = """
+from tubebound.modelspaces import EuclideanAffine
+estimate.mc_moment(EuclideanAffine(m=3, n=0), 1, 1.0, 4 * estimate._DRAW_BLOCK, 1)
+print(estimate._pool is not None)
+"""
+    assert _run_python(code, timeout=30.0).strip() == "True"
 
 
 def test_mc_mean_stderr_survives_a_mean_far_above_the_spread():
@@ -303,6 +411,14 @@ def test_tail_prob_sup_mode_reflection():
     for dt in (1e-2, 1e-3):
         est = tail_prob(EuclideanAffine(m=1, n=0), 2.0, 1.0, True, 2_000, dt, seed=62)
         assert abs(est.mean - want) <= 3.0 * est.stderr, dt
+
+
+def test_tail_prob_point_mode_needs_n_100():
+    # the n >= 100 rule of every endpoint estimator: one draw does not test a tail bound
+    for n in (1, 50, 99):
+        with pytest.raises(DomainError, match="need n >= 100"):
+            tail_prob(EuclideanAffine(m=3, n=0), 2.0, 1.0, False, n, None, seed=66)
+    assert tail_prob(EuclideanAffine(m=3, n=0), 2.0, 1.0, False, 100, None, seed=66).n == 100
 
 
 def test_tail_prob_rare_event_stderr_positive():

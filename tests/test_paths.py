@@ -117,6 +117,7 @@ def test_path_functional_bit_identical_for_any_worker_count(s, monkeypatch):
     try:
         for workers in (1, 2, 3):
             monkeypatch.setattr(estimate, "_WORKERS", workers)
+            monkeypatch.setattr(estimate, "_pool", None)  # the next map makes a pool of `workers`
             runs.append(path_functional(s, 0.01, 1.0, 150, 5, fn))
     finally:
         sys.setswitchinterval(interval)
@@ -144,6 +145,7 @@ def test_block_budget_independent_of_workers(monkeypatch):
     shapes = {}
     for workers in (1, 2, 4):
         monkeypatch.setattr(estimate, "_WORKERS", workers)
+        monkeypatch.setattr(estimate, "_pool", None)
         seen = shapes.setdefault(workers, [])
         path_functional(CirclePoint(), 0.01, 1.0, 1500, 3, lambda v: seen.append(v.shape) or v[:, -1])
     assert sorted(shapes[1]) == sorted(shapes[2]) == sorted(shapes[4])
@@ -193,8 +195,20 @@ def test_stream_is_sfc64_seeded_by_seed_sequence(k):
 
 @pytest.mark.parametrize("k", [-1, 2**63, 2**63 + 5, 1.5])
 def test_stream_index_out_of_range(k):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="index"):
         stream(9, k)
+    with pytest.raises(DomainError, match="block"):
+        stream(9, 0, k)
+
+
+def test_stream_blocks_extend_the_index_streams():
+    # block 0 of index k is stream k itself; blocks j >= 1 are streams of their own
+    for k in (0, 1, 7, 2**40, 2**63 - 1):
+        assert np.array_equal(stream(9, k, 0).standard_normal(16), stream(9, k).standard_normal(16))
+    first = {stream(9, b).bit_generator.random_raw() for b in range(4096)}
+    blocks = [stream(9, k, j).bit_generator.random_raw() for k in range(8) for j in range(1, 33)]
+    assert len(first) == 4096 and len(set(blocks)) == len(blocks)
+    assert first.isdisjoint(blocks)
 
 
 @pytest.mark.parametrize("seed", [-3, -1, 1.5, 2.0, "1", None])
