@@ -3,8 +3,9 @@ and local times, the path ones conditioned on the bridge between grid points.
 
 Draw-based estimators split n over `partitions` partitions and each
 partition into blocks of at most _DRAW_BLOCK draws, block j of partition i
-drawn from simulate.stream(seed, i, j). The blocks return partial sums,
-reduced in (i, j) order, so results are bit-reproducible for a given (seed,
+drawn from simulate.stream(seed, i, j). Every block runs on its own and
+returns partial sums, its squares summed about its own mean; they are merged
+in (i, j) order, so results are bit-reproducible for a given (seed,
 partitions) whatever the worker count, and bounded in memory whatever n.
 Path-based ones take sample_paths' blocks of paths, block b from
 stream(seed, b), so neither n nor the worker count changes path k. Both kinds
@@ -24,7 +25,6 @@ from .errors import DomainError
 from .modelspaces import CirclePoint, Scenario
 from .simulate import PathSample, block_rows, grid_steps, sample_distances, sample_paths, stream
 
-_EXP_GUARD = 700.0
 # at most 4, so at most 4 blocks of simulate._PATH_BLOCK path values are in flight
 _WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 _DRAW_BLOCK = 1 << 15  # endpoint draws per block: under 2 MB of arrays per call whatever n
@@ -90,44 +90,45 @@ def mc_mean(
 
     Values of fn that are not finite (an overflow) are dropped and counted
     in the `overflow` field as a heavy-tail warning; a sum of squares that
-    overflows makes the stderr inf. Squares are summed about the first
-    block's mean, so a mean far above the spread does not cancel the variance:
-    that block runs first, the others on the pool. A sum of kept values past
+    overflows makes the stderr inf. Each block sums its squares about its own
+    mean, so a mean far above the spread does not cancel the variance, and
+    the blocks are merged by Chan, Golub & LeVeque's pairwise rule (1983),
+    which adds k (block mean - mean)^2 per block. A sum of kept values past
     the float range is carried in units of 2**64, so the mean stays finite.
     """
-    blocks = _draw_blocks(n, partitions)
 
-    def sums(shift: float | None, block) -> tuple[int, float, float, float, float | None]:
-        # kept count, sum, sum in units of 2**64, sum of squares about shift
-        # (the block's mean if None) and that shift, of one block's finite values
+    def sums(block) -> tuple[int, float, float, float]:
+        # kept count, sum, sum in units of 2**64 and sum of squares about their
+        # own mean, of one block's finite values
         with np.errstate(over="ignore"):  # here: errstate is per thread. An overflow is counted, inf stderr is honest
             vals = fn(_draws(s, t, seed, block))
             vals = vals[np.isfinite(vals)]
-            shift = float(np.mean(vals)) if shift is None and vals.size else shift
             part = float(np.sum(vals))
             scaled = part * 2.0**-64 if math.isfinite(part) else float(np.sum(vals * 2.0**-64))
-            sq = vals - (shift or 0.0)
-            return vals.size, part, scaled, float(np.sum(np.square(sq, out=sq))), shift
+            dev = vals - _mean(vals.size, part, scaled) if vals.size else vals
+            return vals.size, part, scaled, float(np.sum(np.square(dev, out=dev)))
 
-    head = [sums(None, blocks[0])]  # up to the first block with a finite value
-    while head[-1][4] is None and len(head) < len(blocks):
-        head.append(sums(None, blocks[len(head)]))
-    shift = head[-1][4]
-    kept, total, scaled, total_sq = 0, 0.0, 0.0, 0.0
-    for size, part, part_scaled, sq, _ in head + _map(lambda b: sums(shift, b), blocks[len(head) :]):
-        kept, total, scaled, total_sq = kept + size, total + part, scaled + part_scaled, total_sq + sq
+    parts = _map(sums, _draw_blocks(n, partitions))
+    kept, total, scaled, m2 = 0, 0.0, 0.0, 0.0
+    for k, part, part_scaled, sq in parts:
+        kept, total, scaled, m2 = kept + k, total + part, scaled + part_scaled, m2 + sq
     if kept == 0:
         raise DomainError(f"all {n} values were not finite; no estimate possible")
-    mean = total / kept if math.isfinite(total) else scaled / kept / 2.0**-64
-    gap, var = mean - shift, math.inf
-    if math.isfinite(total_sq) and math.isfinite(mean):
-        var = max(total_sq - kept * gap * gap, 0.0) / max(kept - 1, 1)
-    return MCEstimate(mean, math.sqrt(var / kept), n, seed, partitions, n - kept)
+    mean = _mean(kept, total, scaled)
+    for k, part, part_scaled, _ in parts:
+        g = _mean(k, part, part_scaled) - mean if k else 0.0
+        m2 += k * g * g  # not g ** 2, which raises OverflowError where g * g is inf
+    return MCEstimate(mean, math.sqrt(m2 / max(kept - 1, 1) / kept), n, seed, partitions, n - kept)
+
+
+def _mean(k: int, part: float, scaled: float) -> float:
+    # mean of k values summing to part, or to scaled units of 2**64 where part overflowed
+    return part / k if math.isfinite(part) else scaled / k / 2.0**-64
 
 
 def mc_moment(s: Scenario, p: int, t: float, n: int, seed: int, partitions: int = 1) -> MCEstimate:
     """Mean of r_N(X_t)^(2p) over n exact endpoint draws."""
-    if p < 1:
+    if not (isinstance(p, (int, np.integer)) and p >= 1):
         raise DomainError(f"p must be a positive integer, got {p}")
     return mc_mean(s, t, n, seed, lambda r: r ** (2 * p), partitions)
 
@@ -137,17 +138,13 @@ def mc_exp_moment(
 ) -> MCEstimate:
     """Mean of exp(theta r) or exp(theta r^2 / 2) over n exact endpoint draws.
 
-    Draws whose exponent exceeds 700 would overflow; they are dropped and
-    counted in the `overflow` field as a heavy-tail warning.
+    Draws whose exponential overflows (an exponent past about 709.78) are
+    dropped by mc_mean and counted in the `overflow` field as a heavy-tail
+    warning, so `overflow` counts exactly the values that are not finite.
     """
-    if theta < 0.0:
-        raise DomainError(f"theta must be non-negative, got {theta}")
-
-    def fn(r: np.ndarray) -> np.ndarray:
-        expo = theta * r * r / 2.0 if square else theta * r
-        return np.exp(np.where(expo <= _EXP_GUARD, expo, np.inf))
-
-    return mc_mean(s, t, n, seed, fn, partitions)
+    if not 0.0 <= theta < math.inf:
+        raise DomainError(f"theta must be finite and non-negative, got {theta}")
+    return mc_mean(s, t, n, seed, lambda r: np.exp(theta * r * r / 2.0 if square else theta * r), partitions)
 
 
 def path_functional(s: Scenario, dt: float, T: float, n: int, seed: int, fn: PathFn) -> np.ndarray:
@@ -236,8 +233,8 @@ def tail_prob(
     Sup mode averages over paths at step dt each one's bridge-crossing
     probability given its grid (no grid-monitoring bias), with partitions 1 only.
     """
-    if r <= 0.0:
-        raise DomainError(f"r must be positive, got {r}")
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"r must be positive and finite, got {r}")
     if sup_mode:
         if dt is None:
             raise DomainError("sup mode needs a path step dt")

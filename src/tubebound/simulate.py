@@ -120,8 +120,8 @@ def _circle_distance(angle: np.ndarray) -> np.ndarray:
 
 def grid_steps(dt: float, T: float) -> int:
     """Number of steps of the grid k*dt, k = 0..round(T/dt)."""
-    if dt <= 0.0 or dt > T:
-        raise DomainError(f"need 0 < dt <= T, got dt={dt}, T={T}")
+    if not 0.0 < dt <= T < math.inf:
+        raise DomainError(f"need 0 < dt <= T < inf, got dt={dt}, T={T}")
     return int(round(T / dt))
 
 

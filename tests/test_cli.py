@@ -216,6 +216,18 @@ def test_mc_point_tail_needs_n_100(n, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["localtime", "--scenario", "sphere", "--dt", "nan"], ["mc", "--r", "2", "--dt", "nan"],
+    ["localtime", "--scenario", "sphere", "--t", "inf"],
+])
+def test_grid_out_of_domain_exits_two(argv, capsys):
+    # a NaN step or an infinite horizon is a config error, not a traceback (exit 1)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "need 0 < dt <= T < inf" in captured.err
+    assert captured.out == ""
+
+
 # ------------------------------------------------------------------ localtime
 
 def test_localtime_circle(capsys):

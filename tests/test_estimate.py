@@ -60,6 +60,9 @@ def test_mc_moment_validates_inputs():
         mc_moment(CirclePoint(), 0, 1.0, 1000, seed=1)
     with pytest.raises(DomainError):
         mc_moment(CirclePoint(), 1, 1.0, 50, seed=1)
+    for p in (1.5, 2.0):  # r^3 is not an even moment
+        with pytest.raises(DomainError, match="positive integer"):
+            mc_moment(CirclePoint(), p, 1.0, 1000, seed=1)
 
 
 def test_mc_moment_reproducible_bit_for_bit():
@@ -72,23 +75,24 @@ def test_mc_moment_reproducible_bit_for_bit():
 
 def test_mc_reduce_consumes_each_stream_in_draw_blocks():
     # n = 3 blocks + 17 over 2 partitions: each partition is one full block and
-    # a short one, block j of partition i drawn from stream(seed, i, j), reduced
-    # block by block in (i, j) order, squares about the first block's mean
+    # a short one, block j of partition i drawn from stream(seed, i, j), each
+    # block's squares summed about its own mean, the blocks merged in (i, j)
+    # order by Chan's rule: M2 = sum M2_b + sum k_b (mean_b - mean)^2
     s, t, seed, n = HyperbolicH3Point(r0=0.7), 1.0, 12, 3 * _DRAW_BLOCK + 17
-    total = total_sq = 0.0
-    shift = None
-    hits = 0
+    blocks, total, m2, hits = [], 0.0, 0.0, 0
     for i, size in enumerate((n - n // 2, n // 2)):
         for j, k in enumerate((_DRAW_BLOCK, size - _DRAW_BLOCK)):
             draws = sample_distances(s, t, stream(seed, i, j), k)
             sq = draws**2
-            shift = float(np.mean(sq)) if shift is None else shift
-            total += float(np.sum(sq))
-            total_sq += float(np.sum((sq - shift) * (sq - shift)))
+            part = float(np.sum(sq))
+            blocks.append((k, part))
+            total += part
+            m2 += float(np.sum((sq - part / k) ** 2))
             hits += int(np.count_nonzero(draws >= 2.5))
     mean = total / n
-    gap = mean - shift
-    stderr = math.sqrt(max(total_sq - n * gap * gap, 0.0) / (n - 1) / n)
+    for k, part in blocks:
+        m2 += k * (part / k - mean) * (part / k - mean)
+    stderr = math.sqrt(m2 / (n - 1) / n)
     assert mc_mean(s, t, n, seed, lambda r: r**2, 2) == MCEstimate(mean, stderr, n, seed, 2, 0)
     assert tail_prob(s, 2.5, t, False, n, None, seed, 2).mean == hits / n
 
@@ -210,6 +214,41 @@ def test_mc_mean_stderr_survives_a_mean_far_above_the_spread():
     assert mc_moment(s, 1, t, n, seed).stderr == pytest.approx(want, rel=0.01)
 
 
+def test_mc_mean_stderr_matches_the_pooled_sample_std():
+    # three partitions of two blocks each on H^3: the merged stderr is the
+    # sample std of all the draws, to rounding
+    s, t, seed = HyperbolicH3Point(kappa=-1.0, r0=0.7), 1.0, 11
+    sizes = (_DRAW_BLOCK + 6, _DRAW_BLOCK + 6, _DRAW_BLOCK + 5)
+    vals = np.concatenate([
+        sample_distances(s, t, stream(seed, i, j), k) ** 2
+        for i, size in enumerate(sizes) for j, k in enumerate((_DRAW_BLOCK, size - _DRAW_BLOCK))
+    ])
+    est = mc_moment(s, 1, t, sum(sizes), seed, 3)
+    assert est.mean == pytest.approx(float(np.mean(vals)), rel=1e-12)
+    assert est.stderr == pytest.approx(float(np.std(vals, ddof=1)) / math.sqrt(vals.size), rel=1e-12)
+
+
+def test_mc_mean_skips_a_first_block_with_no_finite_value():
+    # fn maps the full first block to inf: the estimate is that of the 500
+    # draws of the second block, stream(seed, 0, 1), alone
+    s, t, seed, n = HyperbolicH3Point(r0=0.7), 1.0, 9, _DRAW_BLOCK + 500
+    vals = sample_distances(s, t, stream(seed, 0, 1), 500) ** 2
+    mean = float(np.sum(vals)) / 500
+    stderr = math.sqrt(float(np.sum((vals - mean) ** 2)) / 499 / 500)
+    fn = lambda r: np.full_like(r, np.inf) if r.size == _DRAW_BLOCK else r**2
+    assert mc_mean(s, t, n, seed, fn) == MCEstimate(mean, stderr, n, seed, 1, _DRAW_BLOCK)
+
+
+def test_mc_mean_merges_block_means_past_the_float_square():
+    # r^400 over blocks whose means differ by more than 1.3e154: their gap
+    # squared is inf, quietly (a float g ** 2 would raise OverflowError there)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = mc_moment(EuclideanAffine(m=1, n=0), 200, 100.0, 3 * _DRAW_BLOCK, 3, 2)
+    assert 0 < est.overflow < est.n
+    assert math.isfinite(est.mean) and est.stderr == math.inf
+
+
 def test_mc_moment_counts_overflowed_draws():
     # r^400 overflows for r above about 5.9, which |B_100| mostly is: those draws are
     # dropped and counted, quietly, and the sum of squares overflows to an inf stderr
@@ -281,6 +320,20 @@ def test_mc_exp_moment_overflow_counter():
     est = mc_exp_moment(EuclideanAffine(m=1, n=0), 1e4, 1.0, True, 2_000, seed=44)
     assert est.overflow > 0
     assert math.isfinite(est.mean)
+
+
+def test_mc_exp_moment_keeps_every_finite_exponential():
+    # exponents about 704 are below log(max float) ~ 709.78: every value is
+    # finite, so every one is kept and none counted as an overflow
+    est = mc_exp_moment(EuclideanAffine(m=1, n=0, r0=704.0), 1.0, 1e-6, False, 200, seed=46)
+    assert est.overflow == 0
+    assert est.mean == pytest.approx(math.exp(704.0), rel=1e-2)
+
+
+def test_mc_exp_moment_validates_theta():
+    for theta in (-0.1, math.nan, math.inf):
+        with pytest.raises(DomainError, match="theta"):
+            mc_exp_moment(EuclideanAffine(m=1, n=0), theta, 1.0, True, 1000, seed=47)
 
 
 def test_mc_exp_moment_total_overflow_is_loud():
@@ -455,6 +508,14 @@ def test_tail_prob_sup_mode_reports_the_partitions_it_used():
     for partitions in (0, 3, 400):
         with pytest.raises(DomainError, match="partitions 1"):
             tail_prob(*args, seed=65, partitions=partitions)
+
+
+@pytest.mark.parametrize("sup_mode,dt", [(False, None), (True, 0.01)])
+def test_tail_prob_validates_r(sup_mode, dt):
+    # a NaN r compared False with every draw and read 0.0
+    for r in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="r must be"):
+            tail_prob(EuclideanAffine(m=3, n=0), r, 1.0, sup_mode, 1000, dt, seed=67)
 
 
 def test_tail_prob_sup_needs_dt():

@@ -16,6 +16,7 @@ from tubebound.modelspaces import (
 )
 from tubebound.simulate import (
     PathSample,
+    grid_steps,
     sample_distances,
     sample_path,
     sample_paths,
@@ -219,6 +220,13 @@ def test_path_rejects_bad_grid():
         sample_path(CirclePoint(), 2.0, 1.0, seed=1)
     with pytest.raises(DomainError):
         sample_path(CirclePoint(), -0.1, 1.0, seed=1)
+
+
+def test_grid_steps_needs_finite_positive_dt_and_t():
+    for dt, T in ((math.nan, 1.0), (0.01, math.nan), (0.01, math.inf), (math.inf, math.inf), (0.0, 1.0)):
+        with pytest.raises(DomainError, match="0 < dt <= T < inf"):
+            grid_steps(dt, T)
+    assert grid_steps(0.01, 1.0) == 100
 
 
 def test_path_sample_validates_dt():
