@@ -4,10 +4,12 @@ Each scenario is an (ambient space M, submanifold N, start point) triple,
 described in one place: its _geometry (m, n, kappa, rho, cut) = (dim M, dim N,
 the curvature of M, negative only where n = 0, the outer radius of curvature
 of N, the distance to the cut locus). The Lyapunov pair, (1/2) Lap r_N^2 and
-the Gaussian law of r_N(X_t) all follow from it; radial moments, exponential
-moments and the mean local time follow where closed forms exist. Operations
-return None where no closed form exists; that is a typed "unavailable"
-answer, not a failure. SCENARIOS maps each kind to its class.
+the Brownian position _position (d, x0, a, rho, cut) all follow from it; both
+samplers in simulate and the Gaussian law of r_N(X_t) read the position.
+Radial moments, exponential moments and the mean local time follow where
+closed forms exist. Operations return None where no closed form exists;
+that is a typed "unavailable" answer, not a failure. SCENARIOS maps each
+kind to its class.
 """
 from __future__ import annotations
 
@@ -17,6 +19,11 @@ from typing import ClassVar, Optional, Union
 
 from .errors import DomainError
 from .specfun import comparison, laguerre, upper_gamma
+
+
+def _whole(k) -> bool:
+    # an int or a numpy integer; not a float, even a whole one
+    return hasattr(k, "__index__")
 
 
 @dataclass(frozen=True)
@@ -30,8 +37,8 @@ class EuclideanAffine:
     r0: float = 0.0
 
     def __post_init__(self):
-        if not 0 <= self.n <= self.m - 1:
-            raise DomainError(f"need 0 <= n <= m-1, got m={self.m}, n={self.n}")
+        if not (_whole(self.m) and _whole(self.n) and 0 <= self.n <= self.m - 1):
+            raise DomainError(f"need integers 0 <= n <= m-1, got m={self.m}, n={self.n}")
         if not 0.0 <= self.r0 < math.inf:
             raise DomainError(f"r0 must be finite and non-negative, got {self.r0}")
 
@@ -75,8 +82,8 @@ class SphereInEuclidean:
     radius: float = 1.0
 
     def __post_init__(self):
-        if self.m < 2:
-            raise DomainError(f"ambient dimension must be >= 2, got {self.m}")
+        if not (_whole(self.m) and self.m >= 2):
+            raise DomainError(f"ambient dimension must be an integer >= 2, got {self.m}")
         if not 0.0 < self.radius < math.inf:
             raise DomainError(f"radius must be finite and positive, got {self.radius}")
 
@@ -137,13 +144,23 @@ def radial_laplacian_half_sq(s: Scenario, r: float) -> float:
     return 1.0 + (m - n - 1) * (1.0 + r * v.g) + n * r * v.f
 
 
-def _gaussian_law(s: Scenario, t: float) -> Optional[tuple[int, float]]:
-    # (d, c) with r_N(X_t) distributed as |c e + B_t| in R^d, where that holds: no curvature
-    # of N and no cut locus, with M flat (d = m - n, c = r0) or H^3 seen from N = the start
-    # point (d = 3, c = sqrt(-kappa) t, by Rogers & Pitman; see simulate)
+def _position(s: Scenario) -> tuple[int, float, float, float, float]:
+    # (d, x0, a, rho, cut): r_N(X) from a Brownian position in R^d started at
+    # x0 e with drift a e. Off a shell, (m - n, r0, sqrt(-kappa)) and r_N = |X|,
+    # wrapped on the circle (cut < inf), started at x0 U on H^3 (see simulate); on a
+    # shell, (m, rho - r0 = 0, 0) and r_N = ||X| - rho|: the walk starts at the centre.
     m, n, kappa, rho, cut = s._geometry
-    if rho == cut == math.inf and (kappa == 0.0 or s.r0 == 0.0):
-        return m - n, s.r0 + math.sqrt(-kappa) * t
+    if rho < math.inf:
+        return m, rho - s.r0, 0.0, rho, cut
+    return m - n, s.r0, math.sqrt(-kappa), rho, cut
+
+
+def _gaussian_law(s: Scenario, t: float) -> Optional[tuple[int, float]]:
+    # (d, c) with r_N(X_t) distributed as |c e + B_t| in R^d, where that holds:
+    # no shell and no cut locus, and a fixed start (flat, or H^3 from the pole)
+    d, x0, a, rho, cut = _position(s)
+    if rho == cut == math.inf and (a == 0.0 or x0 == 0.0):
+        return d, x0 + a * t
     return None
 
 

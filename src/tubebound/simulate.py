@@ -1,14 +1,15 @@
 """Samplers for the distance process r_N(X_t) on the model scenarios.
 
 Every scenario is a function of Brownian positions in a Euclidean space,
-so endpoint laws are exact and paths are exact at grid times. On H^3 the
-positions get a drift and a random start (Rogers & Pitman 1981, "Markov
-functions", Ann. Probab. 9): the norm of r0 U + B_t + a t e in R^3 is the
-distance to N of Brownian motion on H^3 of curvature -a^2 started at
-distance r0, when U is von Mises-Fisher on S^2 about e with concentration
-a r0. Endpoints need only the norm of a Gaussian position, which by
-rotation invariance takes one normal and one chi-square (sample_distances;
-one normal on the circle); paths keep the positions themselves.
+read from one record, modelspaces._position (d, x0, a, rho, cut), so
+endpoint laws are exact and paths are exact at grid times; no sampler names
+a scenario class. On H^3 (a > 0) the positions get a drift and a random
+start (Rogers & Pitman 1981, "Markov functions", Ann. Probab. 9): the norm
+of r0 U + B_t + a t e in R^3 is the distance to N of Brownian motion on H^3
+of curvature -a^2 started at distance r0, when U is von Mises-Fisher on S^2
+about e with concentration a r0. Endpoints need only the norm of a Gaussian
+position, which by rotation invariance takes one normal and one chi-square
+(sample_distances; one normal on the circle); paths keep the positions.
 
 Every sampler draws from stream(seed, b[, j]), an SFC64 generator seeded by
 SeedSequence((seed, b[, j])); independence of the streams rests on
@@ -25,13 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .modelspaces import (
-    CirclePoint,
-    EuclideanAffine,
-    HyperbolicH3Point,
-    Scenario,
-    SphereInEuclidean,
-)
+from .modelspaces import Scenario, _position
 
 _PATH_BLOCK = 1 << 16  # path values, rows x (steps + 1), of a block of sample_paths
 
@@ -67,32 +62,25 @@ class PathSample:
 
 
 def sample_distances(s: Scenario, t: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Vectorized exact draws of r_N(X_t). |c e + sqrt(t) G| in R^d, by rotation
-    invariance sqrt((c + sqrt(t) Z)^2 + t chi2_{d-1}): flat d = m - n, c = r0;
-    sphere d = m, c = 0, then |. - radius|; H^3 d = 3, c = |a t e + r0 U|;
-    circle r0 + sqrt(t) Z wrapped. Draw order: the normals Z, (H^3 off the
-    pole) the uniforms of U_0, then the chi-square (Z'^2 at d = 2,
-    2 standard_gamma((d - 1) / 2) beyond)."""
-    if not t > 0.0:
-        raise DomainError(f"t must be positive, got {t}")
+    """Vectorized exact draws of r_N(X_t) from the position (d, x0, a, rho, cut)
+    of modelspaces._position: x0 + sqrt(t) Z wrapped where cut < inf, else
+    |c e + sqrt(t) G| in R^d = sqrt((c + sqrt(t) Z)^2 + t chi2_{d-1}), c = x0 + a t
+    (|a t e + x0 U| on H^3 off the pole), then |. - rho| on a shell. Draw order:
+    the normals Z, (H^3 off the pole) the uniforms of U_0, then the chi-square
+    (Z'^2 at d = 2, 2 standard_gamma((d - 1) / 2) beyond)."""
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"need 0 < t < inf, got t={t}")
     if size < 1:
         raise DomainError(f"size must be positive, got {size}")
+    d, x0, a, rho, cut = _position(s)
     r = math.sqrt(t) * rng.standard_normal(size)
-    if isinstance(s, CirclePoint):
-        r += s.r0
+    if cut < math.inf:
+        r += x0
         return _circle_distance(r)
-    if isinstance(s, EuclideanAffine):
-        d, c = s.m - s.n, s.r0
-    elif isinstance(s, SphereInEuclidean):
-        d, c = s.m, 0.0
-    elif isinstance(s, HyperbolicH3Point):
-        a = math.sqrt(-s.kappa)
-        d, c = 3, a * t
-        if s.r0 > 0.0:
-            w = _vmf_cosine(a * s.r0, rng.random(size))
-            c = np.sqrt(np.maximum(c * c + 2.0 * c * s.r0 * w + s.r0 * s.r0, 0.0))
-    else:
-        raise TypeError(f"unknown scenario {s!r}")
+    c = x0 + a * t
+    if a > 0.0 and x0 > 0.0:
+        at, w = a * t, _vmf_cosine(a * x0, rng.random(size))
+        c = np.sqrt(np.maximum(at * at + 2.0 * at * x0 * w + x0 * x0, 0.0))
     r += c
     np.square(r, out=r)
     if d == 2:  # a gamma of shape 1/2 costs three times two normals
@@ -100,7 +88,7 @@ def sample_distances(s: Scenario, t: float, rng: np.random.Generator, size: int)
     elif d > 2:
         r += t * (2.0 * rng.standard_gamma(0.5 * (d - 1), size))
     np.sqrt(r, out=r)
-    return np.abs(r - s.radius, out=r) if isinstance(s, SphereInEuclidean) else r
+    return np.abs(r - rho, out=r) if rho < math.inf else r
 
 
 def _vmf_cosine(k: float, u: np.ndarray) -> np.ndarray:
@@ -145,19 +133,19 @@ def sample_paths(s: Scenario, dt: float, T: float, seed: int, start: int, count:
     if not 0 <= start <= 2**63 - count:
         raise DomainError(f"path indices must lie in [0, 2**63), got {start}..{start + count - 1}")
     rows = (seed, range(start, start + count))
-    if isinstance(s, HyperbolicH3Point):
-        return _h3_walk(s.kappa, s.r0, dt, steps, rows)
-    if isinstance(s, EuclideanAffine):
-        pos = _gaussian_paths(rows, steps, s.m - s.n, dt)
-        pos[..., 0] += s.r0
-        return _radius(pos)
-    if isinstance(s, SphereInEuclidean):
-        return np.abs(_radius(_gaussian_paths(rows, steps, s.m, dt)) - s.radius)
-    if isinstance(s, CirclePoint):
-        angle = _gaussian_paths(rows, steps, 1, dt)[..., 0]
-        angle += s.r0
-        return _circle_distance(angle)
-    raise TypeError(f"unknown scenario {s!r}")
+    d, x0, a, rho, cut = _position(s)
+    if a > 0.0:
+        return _h3_walk(s.kappa, x0, dt, steps, rows)
+    pos = _gaussian_paths(rows, steps, d, dt)
+    if x0:
+        pos[..., 0] += x0
+    if cut < math.inf:
+        return _circle_distance(pos[..., 0])
+    r = _radius(pos)
+    if rho < math.inf:  # in place: a temporary taken while pos is live gets fresh pages
+        r -= rho
+        np.abs(r, out=r)
+    return r
 
 
 def block_rows(steps: int) -> int:

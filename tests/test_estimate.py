@@ -285,6 +285,14 @@ def test_mc_mean_with_no_finite_value_raises():
         mc_mean(EuclideanAffine(m=3, n=0), 1.0, 100, 1, lambda r: np.full_like(r, np.inf))
 
 
+def test_endpoint_estimators_reject_infinite_t():
+    s = EuclideanAffine(m=3, n=0)
+    with pytest.raises(DomainError, match="0 < t < inf"):
+        tail_prob(s, 2.0, math.inf, False, 1000, None, 1)
+    with pytest.raises(DomainError, match="0 < t < inf"):
+        mc_moment(s, 1, math.inf, 1000, 1)
+
+
 def test_mc_moment_memory_bounded_whatever_n():
     # 4e6 draws at once would take 32 MB; blocks of _DRAW_BLOCK keep a few of 256 kB
     tracemalloc.start()

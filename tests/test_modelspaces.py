@@ -65,6 +65,20 @@ def test_scenario_rejects_non_finite_parameters(bad):
             make()
 
 
+def test_scenario_rejects_non_integer_dimensions():
+    # a float dimension would reach exact_moment and lyapunov_params as d = 1.5
+    # while the sampler's d == 2 / d > 2 tests drew the d = 1 law
+    for make in (
+        lambda: EuclideanAffine(m=3, n=1.5),
+        lambda: EuclideanAffine(m=2.5, n=0),
+        lambda: EuclideanAffine(m=3.0, n=0),
+        lambda: SphereInEuclidean(m=2.5),
+    ):
+        with pytest.raises(DomainError, match="integer"):
+            make()
+    assert EuclideanAffine(m=np.int64(3), n=np.int64(1)).m == 3
+
+
 def test_sphere_starts_at_centre():
     assert SphereInEuclidean(m=3, radius=2.5).r0 == 2.5
 

@@ -91,13 +91,16 @@ def test_h3_off_pole_endpoint_cosh_identity():
         (EuclideanAffine(m=3, n=1, r0=0.5), [1.8609987988263372, 2.689683686021886, 0.9046822366314068]),
         (CirclePoint(r0=1.0), [2.133589870266425, 1.7345402624472719, 0.8947847858694749]),
         (SphereInEuclidean(m=3, radius=2.0), [0.349677180281732, 0.682624980927667, 0.42844136589575466]),
+        (SphereInEuclidean(m=2, radius=1.0), [0.4421257431190404, 1.4999716135198429, 0.17922892143611058]),
+        (HyperbolicH3Point(kappa=-1.0), [3.7490455228767776, 2.945104071279131, 2.459458412721284]),
     ],
-    ids=["flat", "circle", "sphere"],
+    ids=["flat", "circle", "sphere", "sphere-m2", "h3-pole"],
 )
 def test_gaussian_endpoint_draws_golden(s, want):
     # first draws of stream(7, 3), pinned bit for bit; each equals its
     # construction from that stream's raw draws: the circle's normals wrapped
-    # by np.mod, flat and sphere one normal, then the chi-square, in the draw
+    # by np.mod, the others one normal about c = x0 + a t (r0 flat, 0 at the
+    # sphere's centre, a t at the H^3 pole), then the chi-square, in the draw
     # order test_radial_endpoint_draws_golden spells out
     assert sample_distances(s, 2.0, stream(7, 3), 3).tolist() == want
 
@@ -220,6 +223,12 @@ def test_path_rejects_bad_grid():
         sample_path(CirclePoint(), 2.0, 1.0, seed=1)
     with pytest.raises(DomainError):
         sample_path(CirclePoint(), -0.1, 1.0, seed=1)
+
+
+def test_endpoint_draws_need_finite_positive_t():
+    for t in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(DomainError, match="0 < t < inf"):
+            sample_distances(EuclideanAffine(m=3, n=0), t, stream(1), 10)
 
 
 def test_grid_steps_needs_finite_positive_dt_and_t():
