@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import ConvergenceError, DomainError
 from .modelspaces import LyapunovParams
-from .specfun import kummerm1, laguerre
+from .specfun import _whole, kummerm1, laguerre
 
 SATURATION = 1e300
 _LOG_SAT = math.log(SATURATION)
@@ -59,7 +59,7 @@ def even_moment_bound(p: LyapunovParams, r0: float, t: float, ord: int) -> float
     closed form, where the product reads 3.6e-14 and the overflow-edge
     test asks for 1e-13.
     """
-    if ord < 1:
+    if not (_whole(ord) and ord >= 1):
         raise DomainError(f"ord must be a positive integer, got {ord}")
     a, G, R = p.nu / 2.0 - 1.0, radial_R(-p.lam, t), radial_R(p.lam, t)
     if G == 0.0:  # t = 0
@@ -95,7 +95,7 @@ def _bold_r(p: LyapunovParams, r0: float, t: float, theta: float) -> float:
             return 0.0
         return _exp_sat(math.log(12.0 * (r0 * r0 + 2.0 * radial_R(p.lam, t))) + 2.0 * math.log(theta) + x)
     B = 12.0 * theta * theta * (r0 * r0 * math.exp(x) + 2.0 * radial_R(-p.lam, t))
-    return B if B < SATURATION else SATURATION
+    return SATURATION if B >= SATURATION else B  # a NaN stays NaN, for kummerm1 to refuse
 
 
 def exp_dist_bound(p: LyapunovParams, r0: float, t: float, theta: float) -> float:

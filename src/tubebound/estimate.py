@@ -3,13 +3,14 @@ and local times, the path ones conditioned on the bridge between grid points.
 
 Draw-based estimators split n over `partitions` partitions and each
 partition into blocks of at most _DRAW_BLOCK draws, block j of partition i
-drawn from simulate.stream(seed, i, j). Every block runs on its own and
-returns partial sums, its squares summed about its own mean; they are merged
-in (i, j) order, so results are bit-reproducible for a given (seed,
-partitions) whatever the worker count, and bounded in memory whatever n.
-Path-based ones take sample_paths' blocks of paths, block b from
-stream(seed, b), so neither n nor the worker count changes path k. Both kinds
-of block run on one pool of _WORKERS threads, kept for the process (_map).
+drawn from simulate.stream(seed, i, j). Path-based ones take sample_paths'
+blocks of paths, block b from stream(seed, b), so neither n nor the worker
+count changes path k. Both kinds of block run on one pool of _WORKERS
+threads, kept for the process (_map), and one reduction takes both
+(_reduce): each block returns partial sums where it is drawn, its squares
+summed about its own mean, and they are merged in block order. So results
+are bit-reproducible for a given (seed, partitions) whatever the worker
+count, and bounded in memory whatever n.
 """
 from __future__ import annotations
 
@@ -86,10 +87,16 @@ def _draws(s: Scenario, t: float, seed: int, block: tuple[int, int, int]) -> np.
 def mc_mean(
     s: Scenario, t: float, n: int, seed: int, fn: Callable[[np.ndarray], np.ndarray], partitions: int = 1
 ) -> MCEstimate:
-    """Mean of fn(r_N(X_t)) over n exact endpoint draws, with its standard error.
+    """Mean of fn(r_N(X_t)) over n exact endpoint draws, with its standard error (see _reduce)."""
+    return _reduce(lambda b: fn(_draws(s, t, seed, b)), _draw_blocks(n, partitions), n, seed, partitions)
 
-    Values of fn that are not finite (an overflow) are dropped and counted
-    in the `overflow` field as a heavy-tail warning; a sum of squares that
+
+def _reduce(values: Callable, blocks, n: int, seed: int, partitions: int = 1) -> MCEstimate:
+    """Mean of the n values that values(block) returns over `blocks`, with its
+    standard error; each block runs on _map's pool.
+
+    Values that are not finite (an overflow) are dropped and counted in the
+    `overflow` field as a heavy-tail warning; a sum of squares that
     overflows makes the stderr inf. Each block sums its squares about its own
     mean, so a mean far above the spread does not cancel the variance, and
     the blocks are merged by Chan, Golub & LeVeque's pairwise rule (1983),
@@ -101,14 +108,14 @@ def mc_mean(
         # kept count, sum, sum in units of 2**64 and sum of squares about their
         # own mean, of one block's finite values
         with np.errstate(over="ignore"):  # here: errstate is per thread. An overflow is counted, inf stderr is honest
-            vals = fn(_draws(s, t, seed, block))
+            vals = values(block)
             vals = vals[np.isfinite(vals)]
             part = float(np.sum(vals))
             scaled = part * 2.0**-64 if math.isfinite(part) else float(np.sum(vals * 2.0**-64))
             dev = vals - _mean(vals.size, part, scaled) if vals.size else vals
             return vals.size, part, scaled, float(np.sum(np.square(dev, out=dev)))
 
-    parts = _map(sums, _draw_blocks(n, partitions))
+    parts = _map(sums, blocks)
     kept, total, scaled, m2 = 0, 0.0, 0.0, 0.0
     for k, part, part_scaled, sq in parts:
         kept, total, scaled, m2 = kept + k, total + part, scaled + part_scaled, m2 + sq
@@ -147,28 +154,18 @@ def mc_exp_moment(
     return mc_mean(s, t, n, seed, lambda r: np.exp(theta * r * r / 2.0 if square else theta * r), partitions)
 
 
-def path_functional(s: Scenario, dt: float, T: float, n: int, seed: int, fn: PathFn) -> np.ndarray:
-    """fn over paths 0..n-1 of `seed` (see sample_paths), in blocks of rows.
-
-    fn maps a (rows, steps + 1) block of paths to an array whose first axis
-    has one entry per row; the entries are returned in path order. The blocks
-    are sample_paths' own (block_rows paths, one stream each), run on _map's
-    pool of _WORKERS threads, so memory stays bounded whatever n and the
-    result has the same bits for any n and worker count.
-    """
-    if n < 1:
-        raise DomainError(f"need n >= 1 paths, got {n}")
-    rows = block_rows(grid_steps(dt, T))
-    block = lambda i: fn(sample_paths(s, dt, T, seed, i, min(rows, n - i)))
-    return np.concatenate(_map(block, range(0, n, rows)))
-
-
 def mc_path_mean(s: Scenario, dt: float, T: float, n: int, seed: int, fn: PathFn) -> MCEstimate:
-    """Mean of one value per path over path_functional, with its standard error (n >= 2)."""
+    """Mean of fn over paths 0..n-1 of `seed` (n >= 2), with its standard error.
+
+    fn maps a (rows, steps + 1) block of paths, sample_paths' own (block_rows
+    paths, one stream each), to one value per row. _reduce reduces each block
+    where it is drawn, so memory stays bounded whatever n, and the estimate
+    has the same bits for any worker count.
+    """
     if n < 2:
         raise DomainError(f"need n >= 2 paths for a standard error, got {n}")
-    vals = path_functional(s, dt, T, n, seed, fn)
-    return MCEstimate(float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n)), n, seed)
+    rows = block_rows(grid_steps(dt, T))
+    return _reduce(lambda i: fn(sample_paths(s, dt, T, seed, i, min(rows, n - i))), range(0, n, rows), n, seed)
 
 
 def bridge_local_time(dist: np.ndarray, dt: float) -> np.ndarray:

@@ -18,12 +18,7 @@ from dataclasses import dataclass, fields
 from typing import ClassVar, Optional, Union
 
 from .errors import DomainError
-from .specfun import comparison, laguerre, upper_gamma
-
-
-def _whole(k) -> bool:
-    # an int or a numpy integer; not a float, even a whole one
-    return hasattr(k, "__index__")
+from .specfun import _whole, comparison, laguerre, upper_gamma
 
 
 @dataclass(frozen=True)
@@ -171,7 +166,7 @@ def exact_moment(s: Scenario, p: int, t: float) -> Optional[float]:
     E r^{2p} = (2t)^p p! L^{d/2-1}_p(-c^2/2t); on H^3 at p = 1, 3t - kappa t^2.
     Circle: only the t -> inf limit pi^2/3.
     """
-    if p < 1:
+    if not (_whole(p) and p >= 1):
         raise DomainError(f"p must be a positive integer, got {p}")
     if not t > 0.0:
         raise DomainError(f"t must be positive, got {t}")
@@ -238,6 +233,8 @@ def revuz_mean_local_time(s: Scenario, t: float) -> Optional[float]:
 
         return s.radius * float(gammaincc(a, x)) / a
     if isinstance(s, CirclePoint):
+        if math.isinf(t):
+            raise DomainError("the circle's mean local time grows like t / 2 pi: no limit at t = inf")
         rt = math.sqrt(2.0 * t)
         peak = rt / math.sqrt(math.pi)
         return sum(peak * math.exp(-((x / rt) ** 2)) - x * math.erfc(x / rt) for x in _circle_images(s.r0, t))

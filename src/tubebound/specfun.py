@@ -16,6 +16,11 @@ _ASYM_TOL = 1e-17
 _TINY_A_SCALE = 2.0**600
 
 
+def _whole(k) -> bool:
+    # an int or a numpy integer; not a float, even a whole one
+    return hasattr(k, "__index__")
+
+
 @dataclass(frozen=True)
 class ComparisonValues:
     """Values of the constant-curvature comparison functions at one (kappa, lam, t).
@@ -95,8 +100,8 @@ def laguerre(p: int, alpha: float, z: float) -> float:
     Stable for the z <= 0 arguments the moment bounds use, where every
     recurrence term has the same sign.
     """
-    if p < 0:
-        raise DomainError(f"order must be non-negative, got {p}")
+    if not (_whole(p) and p >= 0):
+        raise DomainError(f"order must be a non-negative integer, got {p}")
     if alpha <= -1.0:
         raise DomainError(f"alpha must exceed -1, got {alpha}")
     if p == 0:
@@ -123,7 +128,8 @@ def kummerm1(a: float, b: float, z: float) -> float:
     S from _large_z_sum. Otherwise the term-ratio series past its leading 1, until a
     shrinking term is twice below 1e-16 of the sum; for a subnormal a it is summed at
     a 2^600 and scaled back, so that its first term a z / b keeps every digit.
-    ConvergenceError past float range or at 1e5 terms (n > 1e5 included).
+    ConvergenceError past float range or at 1e5 terms (n > 1e5 included); DomainError
+    at a NaN argument.
     """
     if b <= 0.0 and b == int(b):
         raise DomainError(f"b must not be a non-positive integer, got {b}")
@@ -167,6 +173,8 @@ def _series_m1(a: float, b: float, z: float) -> float:
         term *= ratio
         total += term
         if not math.isfinite(total):
+            if math.isnan(a) or math.isnan(b) or math.isnan(z):  # a NaN ends here, off the finite calls' path
+                raise DomainError(f"1F1({a}, {b}, {z}) has a NaN argument")
             raise ConvergenceError(f"1F1({a}, {b}, {z}) overflows a float")
         if abs(term) <= _KUMMER_TOL * abs(total) and abs(ratio) < 1.0:
             small += 1
@@ -181,7 +189,7 @@ def _large_z_sum(a: float, b: float, z: float) -> float | None:
     """S = sum_k (b-a)_k (1-a)_k / (k! z^k) of DLMF 13.7.2, finite for b = 1/2 and a = nu/2,
     or None where 13.7.2 would miss 1F1 by 1e-17 relative or its product leaves the floats.
     Below z = 50 the series is cheap and exact to a few ulps, so the expansion is not tried."""
-    if not (0.0 < min(a, b) and max(a, b) < 170.0 and z >= 50.0):
+    if not (0.0 < a < 170.0 and 0.0 < b < 170.0 and z >= 50.0):  # also False at a NaN
         return None
     if abs((a - b) * math.log(z)) > 350.0 or abs(math.lgamma(b) - math.lgamma(a)) > 350.0:
         return None  # z^(a-b) Gamma(b)/Gamma(a) could leave the normal floats
@@ -239,8 +247,8 @@ def lemma_laguerre_rhs(p: int, alpha: float, z: float) -> float:
 
     Computed in log space so p up to 50 cannot overflow intermediates.
     """
-    if p < 0:
-        raise DomainError(f"order must be non-negative, got {p}")
+    if not (_whole(p) and p >= 0):
+        raise DomainError(f"order must be a non-negative integer, got {p}")
     if alpha < 0.0 or z < 0.0:
         raise DomainError(f"need alpha, z >= 0, got alpha={alpha}, z={z}")
     if p == 0:

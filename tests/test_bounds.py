@@ -31,13 +31,14 @@ from tubebound.bounds import (
 )
 from tubebound.errors import DomainError
 from tubebound.modelspaces import (
+    EuclideanAffine,
     HyperbolicH3Point,
     LyapunovParams,
     exact_exp_moment,
     exact_moment,
     lyapunov_params,
 )
-from tubebound.specfun import _large_z_sum
+from tubebound.specfun import _large_z_sum, laguerre, lemma_laguerre_rhs
 
 from oracles import (
     bold_r_mpmath,
@@ -727,6 +728,27 @@ def test_curve_csv_format():
     assert lines[0] == "param,value,valid"
     assert lines[1] == "0.5,1.25,true"
     assert lines[2].endswith(",false")
+
+
+@pytest.mark.parametrize("order", [1.5, 2.0])
+def test_orders_must_be_integers(order):
+    # a float order, even a whole one, is refused where its sign is, as mc_moment does
+    lp = LyapunovParams(nu=3.0, lam=0.0)
+    for call in (
+        lambda: laguerre(order, 0.5, -1.0),
+        lambda: lemma_laguerre_rhs(order, 1.0, 1.0),
+        lambda: exact_moment(EuclideanAffine(m=3), order, 1.0),
+        lambda: even_moment_bound(lp, 0.0, 1.0, order),
+    ):
+        with pytest.raises(DomainError, match="integer"):
+            call()
+
+
+@pytest.mark.parametrize("lam", [0.0, 700.0])
+def test_exp_dist_nan_r0_is_a_domain_error(lam):
+    # a NaN B is refused by kummerm1, not read as an overflow and saturated
+    with pytest.raises(DomainError):
+        exp_dist_bound(LyapunovParams(nu=3.0, lam=lam), math.nan, 1.0, 0.1)
 
 
 def test_bound_curve_handles_domain_errors():

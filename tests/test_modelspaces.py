@@ -373,5 +373,12 @@ def test_circle_mean_local_time_matches_quadrature():
             assert got == pytest.approx(circle_mean_local_time_quad(d, t), abs=1e-10)
 
 
+def test_revuz_at_infinite_t():
+    # the circle's mean local time grows like t / 2 pi; the sphere's (m > 2) tends to radius / (m/2 - 1)
+    with pytest.raises(DomainError):
+        revuz_mean_local_time(CirclePoint(), math.inf)
+    assert revuz_mean_local_time(SphereInEuclidean(m=3, radius=1.0), math.inf) == 2.0
+
+
 def test_revuz_unavailable_for_flat():
     assert revuz_mean_local_time(EuclideanAffine(m=2, n=1), 1.0) is None

@@ -1,9 +1,11 @@
 """The batched path engine: sample_paths rows against a plain numpy draw of
 each block, H^3 rows against the exact law at grid times, independence of
-path k from n, the range asked for and the worker count, and sup-mode tails
-against the exact exit-time series."""
+path k from n and the range asked for, mc_path_mean's blocks and its
+independence of the worker count, and sup-mode tails against the exact
+exit-time series."""
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from scipy import integrate
 from tubebound import estimate, simulate
 from tubebound.bounds import concentration_bound_optimized, exit_time_bound
 from tubebound.errors import DomainError
-from tubebound.estimate import bridge_local_time, path_functional, tail_prob
+from tubebound.estimate import bridge_local_time, mc_path_mean, tail_prob
 from tubebound.modelspaces import (
     CirclePoint,
     EuclideanAffine,
@@ -38,7 +40,7 @@ def test_rows_bit_identical_to_one_path_sampling(s, kind, d, r0, monkeypatch):
     # blocks of 40 paths: n = 150 paths span four blocks, the last ragged
     monkeypatch.setattr(simulate, "_PATH_BLOCK", 40 * 101)
     dt, T, seed, n = 0.01, 1.0, 17, 150
-    rows = path_functional(s, dt, T, n, seed, lambda v: v)
+    rows = sample_paths(s, dt, T, seed, 0, n)
     assert rows.shape == (n, 101)
     for b, first in enumerate(range(0, n, 40)):
         want = gaussian_distance_block(kind, d, r0, dt, 100, min(40, n - first), stream(seed, b))
@@ -77,8 +79,8 @@ def test_path_k_independent_of_n_and_range(s, monkeypatch):
     # blocks of 40 paths: n = 100 ends in a ragged block that n = 150 fills,
     # so on H^3 off the pole the starts must come before the increments
     monkeypatch.setattr(simulate, "_PATH_BLOCK", 40 * 101)
-    rows = path_functional(s, 0.01, 1.0, 150, 8, lambda v: v)
-    assert np.array_equal(path_functional(s, 0.01, 1.0, 100, 8, lambda v: v), rows[:100])
+    rows = sample_paths(s, 0.01, 1.0, 8, 0, 150)
+    assert np.array_equal(sample_paths(s, 0.01, 1.0, 8, 0, 100), rows[:100])
     assert np.array_equal(sample_paths(s, 0.01, 1.0, 8, 60, 7), rows[60:67])  # inside one block
     assert np.array_equal(sample_paths(s, 0.01, 1.0, 8, 35, 50), rows[35:85])  # across three
 
@@ -87,11 +89,11 @@ def test_blocks_hold_at_most_the_value_budget(monkeypatch):
     monkeypatch.setattr(estimate, "_WORKERS", 1)  # in path order, one block at a time
     monkeypatch.setattr(simulate, "_PATH_BLOCK", 40 * 101)
     rows = []
-    path_functional(CirclePoint(), 0.01, 1.0, 150, 3, lambda v: rows.append(len(v)) or v[:, -1])
+    mc_path_mean(CirclePoint(), 0.01, 1.0, 150, 3, lambda v: rows.append(len(v)) or v[:, -1])
     assert rows == [40, 40, 40, 30]
     monkeypatch.setattr(simulate, "_PATH_BLOCK", 50)  # shorter than one path
     rows.clear()
-    path_functional(CirclePoint(), 0.01, 1.0, 3, 3, lambda v: rows.append(len(v)) or v[:, -1])
+    mc_path_mean(CirclePoint(), 0.01, 1.0, 3, 3, lambda v: rows.append(len(v)) or v[:, -1])
     assert rows == [1, 1, 1]
 
 
@@ -104,13 +106,13 @@ POOL_SCENARIOS = [
 
 
 @pytest.mark.parametrize("s", POOL_SCENARIOS, ids=["flat", "sphere", "circle", "h3"])
-def test_path_functional_bit_identical_for_any_worker_count(s, monkeypatch):
+def test_mc_path_mean_bit_identical_for_any_worker_count(s, monkeypatch):
     # 150 paths of 101 values in blocks of 40 rows whatever the workers:
     # several blocks per worker and a ragged last one
     monkeypatch.setattr(simulate, "_PATH_BLOCK", 40 * 101)
 
-    def fn(v):  # the rows and a per-row reduction of them
-        return np.column_stack([v, bridge_local_time(v, 0.01)])
+    def fn(v):  # every value of a row and a bridge reduction of it
+        return v.sum(axis=1) + bridge_local_time(v, 0.01)
 
     runs, interval = [], sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # threads swap as often as they can
@@ -118,11 +120,11 @@ def test_path_functional_bit_identical_for_any_worker_count(s, monkeypatch):
         for workers in (1, 2, 3):
             monkeypatch.setattr(estimate, "_WORKERS", workers)
             monkeypatch.setattr(estimate, "_pool", None)  # the next map makes a pool of `workers`
-            runs.append(path_functional(s, 0.01, 1.0, 150, 5, fn))
+            est = mc_path_mean(s, 0.01, 1.0, 150, 5, fn)
+            runs.append((est.mean, est.stderr))
     finally:
         sys.setswitchinterval(interval)
-    assert runs[0].shape == (150, 102)
-    assert all(np.array_equal(r, runs[0]) for r in runs[1:])
+    assert runs[1:] == runs[:1] * 2 and all(math.isfinite(x) for x in runs[0])
 
 
 def test_error_in_a_worker_reaches_the_caller_unchanged(monkeypatch):
@@ -136,7 +138,7 @@ def test_error_in_a_worker_reaches_the_caller_unchanged(monkeypatch):
         return v[:, -1]
 
     with pytest.raises(DomainError) as caught:
-        path_functional(CirclePoint(), 0.01, 1.0, 23, 3, fn)
+        mc_path_mean(CirclePoint(), 0.01, 1.0, 23, 3, fn)
     assert caught.value is err
 
 
@@ -147,27 +149,37 @@ def test_block_budget_independent_of_workers(monkeypatch):
         monkeypatch.setattr(estimate, "_WORKERS", workers)
         monkeypatch.setattr(estimate, "_pool", None)
         seen = shapes.setdefault(workers, [])
-        path_functional(CirclePoint(), 0.01, 1.0, 1500, 3, lambda v: seen.append(v.shape) or v[:, -1])
+        mc_path_mean(CirclePoint(), 0.01, 1.0, 1500, 3, lambda v: seen.append(v.shape) or v[:, -1])
     assert sorted(shapes[1]) == sorted(shapes[2]) == sorted(shapes[4])
     assert len(shapes[1]) > 1 and max(r * c for r, c in shapes[1]) <= simulate._PATH_BLOCK
     monkeypatch.setattr(simulate, "_PATH_BLOCK", 150)  # shorter than two paths
     for workers in (1, 2):
         monkeypatch.setattr(estimate, "_WORKERS", workers)
         sizes = []
-        path_functional(CirclePoint(), 0.01, 1.0, 3, 3, lambda v: sizes.append(v.shape) or v[:, -1])
+        mc_path_mean(CirclePoint(), 0.01, 1.0, 3, 3, lambda v: sizes.append(v.shape) or v[:, -1])
         assert sizes == [(1, 101)] * 3
 
 
-def test_path_functional_validates_inputs():
+def test_mc_path_mean_validates_inputs():
     with pytest.raises(DomainError):
-        path_functional(CirclePoint(), 0.01, 1.0, 0, 1, lambda v: v[:, -1])
+        mc_path_mean(CirclePoint(), 0.01, 1.0, 0, 1, lambda v: v[:, -1])
     with pytest.raises(DomainError):
-        path_functional(CirclePoint(), 0.0, 1.0, 10, 1, lambda v: v[:, -1])
+        mc_path_mean(CirclePoint(), 0.0, 1.0, 10, 1, lambda v: v[:, -1])
     with pytest.raises(DomainError):
         sample_paths(CirclePoint(), 0.01, 1.0, 1, 0, 0)
     for start, count in ((-1, 1), (2**63 - 1, 2)):  # path indices, in stream()'s range
         with pytest.raises(DomainError):
             sample_paths(CirclePoint(), 0.01, 1.0, 1, start, count)
+
+
+def test_path_values_that_overflow_are_dropped_and_counted():
+    # exp(800 |B_1|) overflows where |B_1| > 0.887, on about 38% of the paths:
+    # those are dropped and counted as endpoint values are, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        est = mc_path_mean(EuclideanAffine(m=1, n=0), 0.01, 1.0, 200, 4, lambda v: np.exp(800.0 * v[:, -1]))
+    assert math.isfinite(est.mean) and est.mean > 0.0
+    assert 0 < est.overflow < 200
 
 
 def test_sup_tails_pinned_on_one_path_code():

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from tubebound.errors import DomainError
-from tubebound.estimate import path_functional
+from tubebound.estimate import mc_path_mean
 from tubebound.modelspaces import (
     CirclePoint,
     EuclideanAffine,
@@ -187,7 +187,7 @@ def test_path_determinism_bit_identical():
 )
 def test_endpoint_and_path_laws_agree_kolmogorov_smirnov(scenario):
     n = 10_000
-    endpoints = path_functional(scenario, 0.01, 1.0, n, 77, lambda v: v[:, -1])
+    endpoints = sample_paths(scenario, 0.01, 1.0, 77, 0, n)[:, -1]
     direct = sample_distances(scenario, 1.0, stream(78), n)
     stat = stats.ks_2samp(endpoints, direct).statistic
     critical_1pct = 1.628 * math.sqrt(2.0 / n)
@@ -204,7 +204,7 @@ def test_flat_exit_time_optional_stopping():
         idx = np.argmax(hit, axis=1)
         return np.where(hit[np.arange(len(v)), idx], idx * dt, T)
 
-    mean = float(np.mean(path_functional(s, dt, T, n, 303, exit_time)))
+    mean = mc_path_mean(s, dt, T, n, 303, exit_time).mean
     assert abs(mean - 1.0) <= 0.05
 
 

@@ -303,6 +303,15 @@ def test_kummer_rejects_bad_b():
         kummer(1.0, -2.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "args", [(math.nan, 0.5, 1.0), (1.0, math.nan, 1.0), (1.0, math.nan, 60.0), (1.0, 0.5, math.nan), (1.5, 0.5, math.nan)]
+)
+def test_kummer_rejects_nan(args):
+    # not a ConvergenceError, which callers read as an overflow
+    with pytest.raises(DomainError):
+        kummerm1(*args)
+
+
 # --------------------------------------------------------------- upper_gamma
 
 def test_upper_gamma_complete():
