@@ -61,6 +61,8 @@ def even_moment_bound(p: LyapunovParams, r0: float, t: float, ord: int) -> float
     """
     if not (_whole(ord) and ord >= 1):
         raise DomainError(f"ord must be a positive integer, got {ord}")
+    if not 0.0 <= r0 < math.inf:  # also at a NaN, which each branch below would read differently
+        raise DomainError(f"r0 must be a finite non-negative distance, got {r0}")
     a, G, R = p.nu / 2.0 - 1.0, radial_R(-p.lam, t), radial_R(p.lam, t)
     if G == 0.0:  # t = 0
         return r0 ** (2 * ord) if r0 == 0.0 or ord * math.log(r0) < _LOG_SAT / 2.0 else SATURATION

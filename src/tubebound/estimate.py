@@ -3,14 +3,16 @@ and local times, the path ones conditioned on the bridge between grid points.
 
 Draw-based estimators split n over `partitions` partitions and each
 partition into blocks of at most _DRAW_BLOCK draws, block j of partition i
-drawn from simulate.stream(seed, i, j). Path-based ones take sample_paths'
-blocks of paths, block b from stream(seed, b), so neither n nor the worker
-count changes path k. Both kinds of block run on one pool of _WORKERS
-threads, kept for the process (_map), and one reduction takes both
-(_reduce): each block returns partial sums where it is drawn, its squares
-summed about its own mean, and they are merged in block order. So results
-are bit-reproducible for a given (seed, partitions) whatever the worker
-count, and bounded in memory whatever n.
+drawn from simulate.stream(seed, i, j). Path-based ones split n into blocks
+of R = block_rows(steps) paths, block b drawn by sample_paths from
+stream(seed, b), so neither n nor the worker count changes path k. The
+samplers take generators; only this module (and simulate.sample_path, the
+benchmark's shim) maps a seed to streams. Both kinds of block run on one
+pool of _WORKERS threads, kept for the process (_map), and one reduction
+takes both (_reduce): each block returns partial sums where it is drawn, its
+squares summed about its own mean, and they are merged in block order. So
+results are bit-reproducible for a given (seed, partitions) whatever the
+worker count, and bounded in memory whatever n.
 """
 from __future__ import annotations
 
@@ -157,15 +159,18 @@ def mc_exp_moment(
 def mc_path_mean(s: Scenario, dt: float, T: float, n: int, seed: int, fn: PathFn) -> MCEstimate:
     """Mean of fn over paths 0..n-1 of `seed` (n >= 2), with its standard error.
 
-    fn maps a (rows, steps + 1) block of paths, sample_paths' own (block_rows
-    paths, one stream each), to one value per row. _reduce reduces each block
+    fn maps a (rows, steps + 1) block of paths to one value per row: path k
+    is row k mod R of block k // R, R = block_rows(steps), the first rows of
+    sample_paths(s, dt, T, stream(seed, k // R), R). _reduce reduces each block
     where it is drawn, so memory stays bounded whatever n, and the estimate
     has the same bits for any worker count.
     """
     if n < 2:
         raise DomainError(f"need n >= 2 paths for a standard error, got {n}")
     rows = block_rows(grid_steps(dt, T))
-    return _reduce(lambda i: fn(sample_paths(s, dt, T, seed, i, min(rows, n - i))), range(0, n, rows), n, seed)
+    return _reduce(
+        lambda i: fn(sample_paths(s, dt, T, stream(seed, i // rows), min(rows, n - i))), range(0, n, rows), n, seed
+    )
 
 
 def bridge_local_time(dist: np.ndarray, dt: float) -> np.ndarray:

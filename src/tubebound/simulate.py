@@ -11,12 +11,12 @@ about e with concentration a r0. Endpoints need only the norm of a Gaussian
 position, which by rotation invariance takes one normal and one chi-square
 (sample_distances; one normal on the circle); paths keep the positions.
 
-Every sampler draws from stream(seed, b[, j]), an SFC64 generator seeded by
-SeedSequence((seed, b[, j])); independence of the streams rests on
-SeedSequence's hashing of the key, not on a counter. Paths come in blocks of
-block_rows(steps) consecutive paths, block b drawn in one call from
-stream(seed, b), so path k is reproducible whatever the number of paths,
-the workers or the range that consume it.
+Every sampler draws from the generator it is given; estimate keys them,
+stream(seed, b[, j]), an SFC64 generator seeded by SeedSequence((seed, b[, j])),
+whose hashing of the key, not a counter, keeps the streams apart. Paths come
+in blocks of R = block_rows(steps) paths: sample_paths draws the first count
+rows of one block, and those rows are a prefix of the whole block, so a path
+has the same bits whatever the number of paths or the workers that consume it.
 """
 from __future__ import annotations
 
@@ -114,29 +114,30 @@ def grid_steps(dt: float, T: float) -> int:
 
 
 def sample_path(s: Scenario, dt: float, T: float, seed: int, index: int = 0) -> PathSample:
-    """Row `index` of sample_paths as a PathSample; kept only for the benchmark, which times it."""
-    return PathSample(dt=dt, values=sample_paths(s, dt, T, seed, index, 1)[0], scenario=s, seed=seed)
+    """Path `index` of `seed` as estimate.mc_path_mean numbers it, row index mod R
+    of block index // R drawn from stream(seed, index // R), as a PathSample;
+    kept only for the benchmark, which times it."""
+    b, k = divmod(index, block_rows(grid_steps(dt, T)))
+    return PathSample(dt=dt, values=sample_paths(s, dt, T, stream(seed, b), k + 1)[k], scenario=s, seed=seed)
 
 
-def sample_paths(s: Scenario, dt: float, T: float, seed: int, start: int, count: int) -> np.ndarray:
-    """Paths start..start+count-1 of r_N(X) on the grid k*dt, one per row,
-    exact at grid times on every scenario.
+def sample_paths(s: Scenario, dt: float, T: float, rng: np.random.Generator, count: int) -> np.ndarray:
+    """The first `count` rows of one block of R = block_rows(steps) paths of
+    r_N(X) on the grid k*dt, drawn from rng, exact at grid times on every
+    scenario; count must lie in [1, R].
 
-    Path k is row k mod R of block k // R, R = block_rows(steps), and block b
-    draws from stream(seed, b) alone: (H^3 off the pole) its R starts, then
-    its Gaussian increments. So path k has the same bits whatever start and
-    count ask for it.
+    A block draws (H^3 off the pole) all R starts, then its Gaussian
+    increments row by row, so its first rows have the same bits whatever
+    count asks for them.
     """
     steps = grid_steps(dt, T)
-    if count < 1:
-        raise DomainError(f"count must be positive, got {count}")
-    if not 0 <= start <= 2**63 - count:
-        raise DomainError(f"path indices must lie in [0, 2**63), got {start}..{start + count - 1}")
-    rows = (seed, range(start, start + count))
+    R = block_rows(steps)
+    if not 1 <= count <= R:
+        raise DomainError(f"count must lie in [1, {R}], one block of paths, got {count}")
     d, x0, a, rho, cut = _position(s)
     if a > 0.0:
-        return _h3_walk(s.kappa, x0, dt, steps, rows)
-    pos = _gaussian_paths(rows, steps, d, dt)
+        return _h3_walk(s.kappa, x0, dt, steps, (rng, count))
+    pos = _gaussian_paths(rng, count, steps, d, dt)
     if x0:
         pos[..., 0] += x0
     if cut < math.inf:
@@ -154,11 +155,12 @@ def block_rows(steps: int) -> int:
     return max(1, _PATH_BLOCK // (steps + 1))
 
 
-def _h3_walk(kappa: float, r0: float, dt: float, steps: int, rows: tuple[int, range]) -> np.ndarray:
-    """sample_paths on H^3 from r0, rows = (seed, path indices); the benchmark times this name."""
+def _h3_walk(kappa: float, r0: float, dt: float, steps: int, rows: tuple[np.random.Generator, int]) -> np.ndarray:
+    """sample_paths on H^3 from r0, rows = (rng, count); the benchmark times this name."""
     a = math.sqrt(-kappa)
-    starts = np.empty((len(rows[1]), 1, 2))
-    pos = _gaussian_paths(rows, steps, 3, dt, starts[:, 0] if r0 > 0.0 else None)
+    rng, count = rows
+    starts = rng.random((block_rows(steps), 2))[:count, None] if r0 > 0.0 else None  # all R, before the increments
+    pos = _gaussian_paths(rng, count, steps, 3, dt)
     pos[..., 0] += a * (dt * np.arange(steps + 1))  # Rogers-Pitman, e = e_0 (module docstring)
     if r0 > 0.0:  # U = (w, rho cos phi, rho sin phi), the azimuth phi uniform
         w = _vmf_cosine(a * r0, starts[..., 0])
@@ -170,25 +172,11 @@ def _h3_walk(kappa: float, r0: float, dt: float, steps: int, rows: tuple[int, ra
     return _radius(pos)
 
 
-def _gaussian_paths(rows: tuple[int, range], steps: int, d: int, dt: float, starts=None) -> np.ndarray:
-    # Brownian positions from 0, shape (paths, steps + 1, d), for the paths in
-    # rows = (seed, range). Block b draws from stream(seed, b) all R start pairs
-    # (into starts, if given), then standard_normal((R, steps + 1, d)) with step
-    # 0 zeroed; that fills in C order, so the rows up to the last one needed are
-    # a prefix of it, drawn in place; rows before the first one needed are dropped.
-    seed, paths = rows
-    R, first, stop = block_rows(steps), paths.start, paths.stop
-    pos = np.empty((len(paths), steps + 1, d))
-    for b in range(first // R, (stop - 1) // R + 1):
-        lo, hi = max(first - b * R, 0), min(stop - b * R, R)
-        at = b * R + lo - first
-        rng = stream(seed, b)
-        if starts is not None:
-            starts[at : at + hi - lo] = rng.random((R, 2))[lo:hi]
-        if lo:
-            pos[at : at + hi - lo] = rng.standard_normal((hi, steps + 1, d))[lo:]
-        else:
-            rng.standard_normal(out=pos[at : at + hi])
+def _gaussian_paths(rng: np.random.Generator, count: int, steps: int, d: int, dt: float) -> np.ndarray:
+    # Brownian positions from 0, shape (count, steps + 1, d): one
+    # standard_normal call, which fills in C order, so its rows are a prefix
+    # of a longer call's; step 0 zeroed, the increments scaled and summed
+    pos = rng.standard_normal((count, steps + 1, d))
     pos[:, 0] = 0.0
     pos *= math.sqrt(dt)
     return np.cumsum(pos, axis=1, out=pos)

@@ -98,11 +98,12 @@ def laguerre(p: int, alpha: float, z: float) -> float:
     """Generalized Laguerre polynomial L^alpha_p(z) by the three-term recurrence.
 
     Stable for the z <= 0 arguments the moment bounds use, where every
-    recurrence term has the same sign.
+    recurrence term has the same sign. DomainError at a NaN alpha or z, or
+    where the terms leave the floats and cancel (inf - inf).
     """
     if not (_whole(p) and p >= 0):
         raise DomainError(f"order must be a non-negative integer, got {p}")
-    if alpha <= -1.0:
+    if not alpha > -1.0:  # also at a NaN
         raise DomainError(f"alpha must exceed -1, got {alpha}")
     if p == 0:
         return 1.0
@@ -110,6 +111,8 @@ def laguerre(p: int, alpha: float, z: float) -> float:
     lk = 1.0 + alpha - z
     for k in range(1, p):
         lkm1, lk = lk, ((2 * k + 1 + alpha - z) * lk - (k + alpha) * lkm1) / (k + 1)
+    if lk != lk:  # once, on the result: a NaN z, or inf - inf past the float range
+        raise DomainError(f"L^{alpha}_{p}({z}) is not a number")
     return lk
 
 
@@ -129,10 +132,10 @@ def kummerm1(a: float, b: float, z: float) -> float:
     shrinking term is twice below 1e-16 of the sum; for a subnormal a it is summed at
     a 2^600 and scaled back, so that its first term a z / b keeps every digit.
     ConvergenceError past float range or at 1e5 terms (n > 1e5 included); DomainError
-    at a NaN argument.
+    at a NaN argument, or at b a non-positive integer or -inf.
     """
-    if b <= 0.0 and b == int(b):
-        raise DomainError(f"b must not be a non-positive integer, got {b}")
+    if b <= 0.0 and (b == -math.inf or float(b).is_integer()):  # poles, with no limit at -inf
+        raise DomainError(f"b must not be a non-positive integer or -inf, got {b}")
     n = a - b
     if z >= 0.0 and b > 0.0 and n >= 0.0 and float(n).is_integer():
         if n > _KUMMER_CAP:
@@ -249,7 +252,7 @@ def lemma_laguerre_rhs(p: int, alpha: float, z: float) -> float:
     """
     if not (_whole(p) and p >= 0):
         raise DomainError(f"order must be a non-negative integer, got {p}")
-    if alpha < 0.0 or z < 0.0:
+    if not (alpha >= 0.0 and z >= 0.0):  # also at a NaN
         raise DomainError(f"need alpha, z >= 0, got alpha={alpha}, z={z}")
     if p == 0:
         return 1.0

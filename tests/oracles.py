@@ -234,6 +234,18 @@ def cartesian_distances(s, t: float, rng, size: int) -> np.ndarray:
     raise TypeError(f"no Cartesian map for {s!r}")
 
 
+def path_range(s, dt: float, T: float, seed: int, start: int, count: int) -> np.ndarray:
+    """Paths start..start+count-1 of `seed` as estimate.mc_path_mean numbers
+    them, one sample_paths call per block: path k is row k mod R of block
+    k // R, R = block_rows(steps), drawn from stream(seed, k // R)."""
+    from tubebound.simulate import block_rows, grid_steps, sample_paths, stream
+
+    R, stop = block_rows(grid_steps(dt, T)), start + count
+    blocks = [sample_paths(s, dt, T, stream(seed, b), min(R, stop - b * R))
+              for b in range(start // R, (stop - 1) // R + 1)]
+    return np.concatenate(blocks)[start % R :]
+
+
 def gaussian_distance_block(kind: str, d: int, r0: float, dt: float, steps: int, rows: int, rng) -> np.ndarray:
     """The first `rows` exact distance paths of a block of paths, drawn the
     block way: one standard_normal((rows, steps + 1, d)) call, step 0 zeroed,

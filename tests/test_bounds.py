@@ -751,6 +751,25 @@ def test_exp_dist_nan_r0_is_a_domain_error(lam):
         exp_dist_bound(LyapunovParams(nu=3.0, lam=lam), math.nan, 1.0, 0.1)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: even_moment_bound(LyapunovParams(3.0, 0.0), math.nan, 1.0, 2),  # the Laguerre product
+        lambda: even_moment_bound(LyapunovParams(3.0, 0.0), math.nan, 1.0, 200),  # the log sum
+        lambda: even_moment_bound(LyapunovParams(3.0, 0.0), math.inf, 1.0, 2),  # read nan too
+        lambda: laguerre(2, math.nan, -1.0),
+        lambda: laguerre(2, 0.5, math.nan),
+        lambda: lemma_laguerre_rhs(2, 1.0, math.nan),
+        lambda: lemma_laguerre_rhs(2, math.nan, 1.0),
+    ],
+    ids=["moment-product", "moment-sum", "moment-inf", "laguerre-alpha", "laguerre-z", "lemma-z", "lemma-alpha"],
+)
+def test_nan_arguments_are_domain_errors(call):
+    # a NaN argument (or an infinite r0) must not come out as a NaN value
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_bound_curve_handles_domain_errors():
     p = LyapunovParams(nu=2.0, lam=0.0)
     curve = bound_curve(lambda t: exp_sq_bound(p, 0.0, t, 0.5), [1.0, 1.9, 2.5])

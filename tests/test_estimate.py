@@ -376,7 +376,7 @@ def test_bridge_estimators_match_per_step_sums():
     # every step summed in a loop, none dropped by the estimators' cutoff;
     # at r = 1.5 the rows hit r on the grid, cross between grid points or not
     dt, r = 0.01, 1.5
-    block = sample_paths(EuclideanAffine(m=1, n=0), dt, 1.0, 3, 0, 7)
+    block = sample_paths(EuclideanAffine(m=1, n=0), dt, 1.0, stream(3), 7)
     local, cross = bridge_local_time(block, dt), _bridge_crossing(block, r, dt)
     for j, row in enumerate(block):
         want_local, survive = 0.0, 1.0

@@ -1,6 +1,6 @@
-"""The batched path engine: sample_paths rows against a plain numpy draw of
-each block, H^3 rows against the exact law at grid times, independence of
-path k from n and the range asked for, mc_path_mean's blocks and its
+"""The batched path engine: sample_paths blocks against a plain numpy draw
+of each block, H^3 rows against the exact law at grid times, a block's rows
+as a prefix of it and path k independent of n, mc_path_mean's blocks and its
 independence of the worker count, and sup-mode tails against the exact
 exit-time series."""
 import math
@@ -24,7 +24,7 @@ from tubebound.modelspaces import (
 )
 from tubebound.simulate import _h3_walk, sample_path, sample_paths, stream
 
-from oracles import exit_tail_exact, gaussian_distance_block, h3_radial_density
+from oracles import exit_tail_exact, gaussian_distance_block, h3_radial_density, path_range
 
 # (scenario, kind, dimension, r0) for the block reference
 EXACT_SCENARIOS = [
@@ -40,14 +40,14 @@ def test_rows_bit_identical_to_one_path_sampling(s, kind, d, r0, monkeypatch):
     # blocks of 40 paths: n = 150 paths span four blocks, the last ragged
     monkeypatch.setattr(simulate, "_PATH_BLOCK", 40 * 101)
     dt, T, seed, n = 0.01, 1.0, 17, 150
-    rows = sample_paths(s, dt, T, seed, 0, n)
+    rows = np.concatenate([sample_paths(s, dt, T, stream(seed, b), min(40, n - 40 * b)) for b in range(4)])
     assert rows.shape == (n, 101)
     for b, first in enumerate(range(0, n, 40)):
         want = gaussian_distance_block(kind, d, r0, dt, 100, min(40, n - first), stream(seed, b))
         assert np.array_equal(rows[first : first + 40], want), b
     for j in (0, 39, 40, 77, 149):
         assert np.array_equal(sample_path(s, dt, T, seed, index=j).values, rows[j]), j
-    assert np.array_equal(sample_paths(s, dt, T, seed, 60, 7), rows[60:67])
+    assert np.array_equal(sample_paths(s, dt, T, stream(seed, 1), 7), rows[40:47])  # a block's prefix
 
 
 def test_h3_rows_exact_cosh_identity_at_grid_times():
@@ -57,17 +57,18 @@ def test_h3_rows_exact_cosh_identity_at_grid_times():
     for kappa in (-1.0, -2.0):
         a = math.sqrt(-kappa)
         for r0 in (0.0, 0.7, 2.0):
-            rows = sample_paths(HyperbolicH3Point(kappa=kappa, r0=r0), dt, T, 11, 3, n)
+            rows = path_range(HyperbolicH3Point(kappa=kappa, r0=r0), dt, T, 11, 3, n)
             for k in (1, 25, 50):
                 x = np.cosh(a * rows[:, k])
                 want = math.cosh(a * r0) * math.exp(1.5 * a * a * k * dt)
                 assert abs(x.mean() - want) <= 3.0 * x.std(ddof=1) / math.sqrt(n), (kappa, r0, k)
-    # a path drawn alone is the same bits as in any range of paths, in the
-    # first block (130 paths of 501 values) and in the second
+    # a path drawn as the last row of its block's prefix is the same bits as
+    # in any range of paths, in the first block (130 paths of 501 values) and
+    # in the second
     s = HyperbolicH3Point(r0=0.7)
     for k, start in ((3, 0), (131, 128)):
-        one = _h3_walk(-1.0, 0.7, 1e-3, 500, (11, range(k, k + 1)))[0]
-        assert np.array_equal(one, sample_paths(s, 1e-3, 0.5, 11, start, 8)[k - start]), k
+        one = _h3_walk(-1.0, 0.7, 1e-3, 500, (stream(11, k // 130), k % 130 + 1))[-1]
+        assert np.array_equal(one, path_range(s, 1e-3, 0.5, 11, start, 8)[k - start]), k
 
 
 @pytest.mark.parametrize(
@@ -76,13 +77,16 @@ def test_h3_rows_exact_cosh_identity_at_grid_times():
     ids=["flat1", "flat3", "sphere", "circle", "h3-off-pole"],
 )
 def test_path_k_independent_of_n_and_range(s, monkeypatch):
-    # blocks of 40 paths: n = 100 ends in a ragged block that n = 150 fills,
-    # so on H^3 off the pole the starts must come before the increments
+    # blocks of 40 paths: n = 100 ends in a ragged block of 20 that n = 150
+    # fills, so a block's first rows are a prefix of it, and on H^3 off the
+    # pole the starts must come before the increments
     monkeypatch.setattr(simulate, "_PATH_BLOCK", 40 * 101)
-    rows = sample_paths(s, 0.01, 1.0, 8, 0, 150)
-    assert np.array_equal(sample_paths(s, 0.01, 1.0, 8, 0, 100), rows[:100])
-    assert np.array_equal(sample_paths(s, 0.01, 1.0, 8, 60, 7), rows[60:67])  # inside one block
-    assert np.array_equal(sample_paths(s, 0.01, 1.0, 8, 35, 50), rows[35:85])  # across three
+    blocks = [sample_paths(s, 0.01, 1.0, stream(8, b), 40) for b in range(4)]
+    for count in (1, 7, 20, 39):
+        assert np.array_equal(sample_paths(s, 0.01, 1.0, stream(8, 2), count), blocks[2][:count]), count
+    # path k alone is row k mod R of block k // R, inside one block and across three
+    for k in (0, 35, 39, 40, 60, 66, 79, 80, 84, 119):
+        assert np.array_equal(sample_path(s, 0.01, 1.0, 8, index=k).values, blocks[k // 40][k % 40]), k
 
 
 def test_blocks_hold_at_most_the_value_budget(monkeypatch):
@@ -165,11 +169,24 @@ def test_mc_path_mean_validates_inputs():
         mc_path_mean(CirclePoint(), 0.01, 1.0, 0, 1, lambda v: v[:, -1])
     with pytest.raises(DomainError):
         mc_path_mean(CirclePoint(), 0.0, 1.0, 10, 1, lambda v: v[:, -1])
-    with pytest.raises(DomainError):
-        sample_paths(CirclePoint(), 0.01, 1.0, 1, 0, 0)
-    for start, count in ((-1, 1), (2**63 - 1, 2)):  # path indices, in stream()'s range
-        with pytest.raises(DomainError):
-            sample_paths(CirclePoint(), 0.01, 1.0, 1, start, count)
+    for index in (-1, 648 * 2**63):  # block 2**63 of 648 paths is past stream()'s range
+        with pytest.raises(DomainError, match="index"):
+            sample_path(CirclePoint(), 0.01, 1.0, 1, index=index)
+
+
+def test_sample_paths_serves_one_block(monkeypatch):
+    # 648 paths of 101 values in a block; a call past one block, or of no
+    # path, raises before it draws
+    for count in (0, 649, -1):
+        rng = stream(1)
+        with pytest.raises(DomainError, match=r"count must lie in \[1, 648\]"):
+            sample_paths(CirclePoint(), 0.01, 1.0, rng, count)
+        assert np.array_equal(rng.random(4), stream(1).random(4)), count
+    assert sample_paths(CirclePoint(), 0.01, 1.0, stream(1), 648).shape == (648, 101)
+    monkeypatch.setattr(simulate, "_PATH_BLOCK", 50)  # shorter than one path: blocks of one
+    assert sample_paths(HyperbolicH3Point(r0=0.7), 0.01, 1.0, stream(1), 1).shape == (1, 101)
+    with pytest.raises(DomainError, match=r"\[1, 1\]"):
+        sample_paths(HyperbolicH3Point(r0=0.7), 0.01, 1.0, stream(1), 2)
 
 
 def test_path_values_that_overflow_are_dropped_and_counted():
@@ -232,7 +249,7 @@ def test_stream_rejects_bad_seed(seed):
 def test_occupation_rows_match_per_path_counts():
     s = CirclePoint(r0=0.0)
     dt, eps = 1e-3, 0.05
-    rows = sample_paths(s, dt, 5.0, 4, 10, 6)  # blocks of 13 paths: 10..12 and 13..15
+    rows = path_range(s, dt, 5.0, 4, 10, 6)  # blocks of 13 paths: 10..12 and 13..15
     for j, values in enumerate(rows, start=10):
         dist = math.pi - values[:-1]
         half = dt * np.count_nonzero(dist < eps / 2.0) / (2.0 * (eps / 2.0))

@@ -23,7 +23,7 @@ from tubebound.simulate import (
     stream,
 )
 
-from oracles import cartesian_distances, h3_moment_quad
+from oracles import cartesian_distances, h3_moment_quad, path_range
 
 
 def _mean_with_stderr(x):
@@ -146,18 +146,19 @@ def test_radial_endpoints_match_cartesian_map_kolmogorov_smirnov(s):
 
 
 def test_path_blocks_hash_pinned():
-    # sha256 prefixes of sample_paths(s, 0.01, 1.0, 23, 5, 40), rows 5..44 of
-    # block 0 (648 paths of 101 values, from stream(23, 0)); off the pole the
-    # H^3 start goes through cos and sin, whose last bit depends on the CPU, so
-    # that block is hashed after rounding to 9 decimals
+    # sha256 prefixes of rows 5..44 of block 0 (648 paths of 101 values, from
+    # stream(23, 0)), drawn as its first 45 rows; off the pole the H^3 start
+    # goes through cos and sin, whose last bit depends on the CPU, so that
+    # block is hashed after rounding to 9 decimals
     for s, want in (
         (EuclideanAffine(m=3, n=1, r0=0.5), "610941e2135e180b"),
         (SphereInEuclidean(m=3, radius=1.0), "5d36020d1b69dd2d"),
         (CirclePoint(r0=1.0), "0fd4cc9cd8780f28"),
         (HyperbolicH3Point(kappa=-1.0), "8571a97a85d59bf1"),
     ):
-        assert hashlib.sha256(sample_paths(s, 0.01, 1.0, 23, 5, 40).tobytes()).hexdigest()[:16] == want, s
-    off = np.round(sample_paths(HyperbolicH3Point(kappa=-2.0, r0=0.7), 0.01, 1.0, 23, 5, 40), 9)
+        rows = sample_paths(s, 0.01, 1.0, stream(23, 0), 45)[5:]
+        assert hashlib.sha256(rows.tobytes()).hexdigest()[:16] == want, s
+    off = np.round(sample_paths(HyperbolicH3Point(kappa=-2.0, r0=0.7), 0.01, 1.0, stream(23, 0), 45)[5:], 9)
     assert hashlib.sha256(off.tobytes()).hexdigest()[:16] == "04ce398d74613057"
 
 
@@ -187,7 +188,7 @@ def test_path_determinism_bit_identical():
 )
 def test_endpoint_and_path_laws_agree_kolmogorov_smirnov(scenario):
     n = 10_000
-    endpoints = sample_paths(scenario, 0.01, 1.0, 77, 0, n)[:, -1]
+    endpoints = path_range(scenario, 0.01, 1.0, 77, 0, n)[:, -1]
     direct = sample_distances(scenario, 1.0, stream(78), n)
     stat = stats.ks_2samp(endpoints, direct).statistic
     critical_1pct = 1.628 * math.sqrt(2.0 / n)
@@ -212,7 +213,7 @@ def test_h3_walk_cross_checks_exact_endpoint_law():
     # paths are exact at grid times: the exact second moment at 3 sigma
     s = HyperbolicH3Point(kappa=-1.0)
     n, dt, t = 1500, 2e-3, 1.0
-    finals = sample_paths(s, dt, t, 404, 0, n)[:, -1]
+    finals = path_range(s, dt, t, 404, 0, n)[:, -1]
     mean, stderr = _mean_with_stderr(finals**2)
     want = exact_moment(s, 1, t)
     assert abs(mean - want) <= 3.0 * stderr

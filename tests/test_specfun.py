@@ -312,6 +312,13 @@ def test_kummer_rejects_nan(args):
         kummerm1(*args)
 
 
+@pytest.mark.parametrize("z", [1.0, 60.0])
+def test_kummer_rejects_b_minus_inf(z):
+    # 1F1 has a pole at every non-positive integer b, so it has no limit as b -> -inf
+    with pytest.raises(DomainError, match="-inf"):
+        kummerm1(1.0, -math.inf, z)
+
+
 # --------------------------------------------------------------- upper_gamma
 
 def test_upper_gamma_complete():
