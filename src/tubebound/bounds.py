@@ -109,6 +109,8 @@ def exp_dist_bound(p: LyapunovParams, r0: float, t: float, theta: float) -> floa
     """
     if p.nu < 2.0:
         raise DomainError(f"exp_dist_bound requires nu >= 2, got nu={p.nu}")
+    if not 0.0 <= r0 < math.inf:
+        raise DomainError(f"r0 must be a finite non-negative distance, got {r0}")
     if not (t >= 0.0 and 0.0 <= theta < math.inf):
         raise DomainError(f"need t >= 0 and finite theta >= 0, got t={t}, theta={theta}")
     B = _bold_r(p, r0, t, theta)
@@ -137,6 +139,8 @@ def _exp_sq_log(p: LyapunovParams, r0: float, t: float, theta: float, name: Opti
 
 def exp_sq_bound(p: LyapunovParams, r0: float, t: float, theta: float) -> float:
     """Bound on E exp(theta r_N^2(X_t) / 2), valid for theta R(t) e^(lam t) < 1."""
+    if not 0.0 <= r0 < math.inf:
+        raise DomainError(f"r0 must be a finite non-negative distance, got {r0}")
     if not (t >= 0.0 and 0.0 <= theta < math.inf):
         raise DomainError(f"need t >= 0 and finite theta >= 0, got t={t}, theta={theta}")
     return _exp_sat(_exp_sq_log(p, r0, t, theta, "theta"))
@@ -186,8 +190,10 @@ def logsob_bound(
         raise DomainError(f"mode must be linear or quadratic, got {mode!r}")
     if not 0 <= n <= m - 1:
         raise DomainError(f"need 0 <= n <= m-1, got m={m}, n={n}")
-    if min(C1, Lambda, r0, t, theta) < 0.0:
-        raise DomainError("C1, Lambda, r0, t, theta must all be non-negative")
+    if min(C1, Lambda, t, theta) < 0.0:
+        raise DomainError("C1, Lambda, t, theta must all be non-negative")
+    if not 0.0 <= r0 < math.inf:
+        raise DomainError(f"r0 must be a finite non-negative distance, got {r0}")
     Ct, k = logsob_time_constant(m, C1, t), (m - 1) * C1 * C1
     x = theta * Ct
     quad = theta * x / 2.0  # theta^2 C(t) / 2, where theta * theta could overflow against C(0) = 0
@@ -223,6 +229,8 @@ def _concentration_log(p: LyapunovParams, r0: float, r: float, R: float, growth:
 
 def concentration_bound(p: LyapunovParams, r0: float, t: float, r: float, delta: float) -> float:
     """Tail bound on P{r_N(X_t) >= r} at a chosen delta in [0, 1)."""
+    if not 0.0 <= r0 < math.inf:
+        raise DomainError(f"r0 must be a finite non-negative distance, got {r0}")
     R, growth = _concentration_radial(p, t, r)
     if not 0.0 <= delta < 1.0:
         raise DomainError(f"delta must lie in [0, 1), got {delta}")
@@ -247,6 +255,8 @@ def concentration_bound_optimized(p: LyapunovParams, r0: float, t: float, r: flo
     cancellation of the log at a small delta. log_value is reported alongside
     since the value itself underflows for large r.
     """
+    if not 0.0 <= r0 < math.inf:
+        raise DomainError(f"r0 must be a finite non-negative distance, got {r0}")
     R, growth = _concentration_radial(p, t, r)
     a, c, nu = r0 * r0 / R, r * r / growth, p.nu
     S = math.sqrt(nu * nu + 4.0 * a * c)
@@ -280,6 +290,8 @@ def feynman_kac_bound(mode: str, p: LyapunovParams, r0: float, t: float, C: floa
         raise DomainError(f"mode must be linear or quadratic, got {mode!r}")
     if not (t >= 0.0 and 0.0 <= C < math.inf):
         raise DomainError(f"need t >= 0 and finite C >= 0, got t={t}, C={C}")
+    if not 0.0 <= r0 < math.inf:
+        raise DomainError(f"r0 must be a finite non-negative distance, got {r0}")
     if mode == "linear":
         if p.nu < 2.0 or p.lam < 0.0:
             raise DomainError(
@@ -329,15 +341,20 @@ def exp_sq_curve(p: LyapunovParams, r0: float, theta: float, grid: Sequence[floa
     Each value has exp_sq_bound's bits. Where exp_sq_bound fails its domain
     test (theta R(t) e^(lam t) >= 1, or a saturated growth) the point is NaN
     by that same test, with no exception raised; a t outside [0, inf) still
-    raises in radial_R, and bound_curve marks it invalid.
+    raises in radial_R, and bound_curve marks it invalid. An r0 outside
+    [0, inf) raises DomainError, checked once for the curve.
     """
+    if not 0.0 <= r0 < math.inf:
+        raise DomainError(f"r0 must be a finite non-negative distance, got {r0}")
     return bound_curve(
         lambda t: _exp_sat(_exp_sq_log(p, r0, t, theta, None)), grid, explosion_point=explosion_time(p, theta)
     )
 
 
 def exp_dist_curve(p: LyapunovParams, r0: float, theta: float, grid: Sequence[float]) -> BoundCurve:
-    """exp_dist_bound over a time grid; finite for all t."""
+    """exp_dist_bound over a time grid; finite for all t. DomainError at an r0 outside [0, inf)."""
+    if not 0.0 <= r0 < math.inf:
+        raise DomainError(f"r0 must be a finite non-negative distance, got {r0}")
     return bound_curve(lambda t: exp_dist_bound(p, r0, t, theta), grid)
 
 

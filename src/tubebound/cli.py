@@ -1,14 +1,22 @@
 """Experiment runner: verify / curves / mc / localtime.
 
 Configuration comes from flags, optionally seeded by a key=value file
-(flags win). Every artifact written (CSV, SVG) is a pure
-function of config + seed + partitions, so reruns are byte-identical.
+(--config). Each entry becomes a flag placed after the subcommand and
+before the command line's own flags, so argparse types and checks it as
+it does the flag, and a flag given wins: a switch (quick) is set by
+1/true/yes/on, a list (R) takes the value's words, any other key is
+--key=value. A key the subcommand lacks is a config error. The parser is
+built once per process and never changed; the seed default is read from
+$TUBEBOUND_SEED when a command runs without --seed. Every artifact
+written (CSV, SVG) is a pure function of config + seed + partitions, so
+reruns are byte-identical.
 
 Exit codes: 0 all comparisons pass, 1 a comparison failed, 2 bad config.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -73,27 +81,25 @@ def _load_config(path: str) -> dict[str, str]:
     return cfg
 
 
-def _apply_config(parser: argparse.ArgumentParser, cfg: dict[str, str]) -> None:
-    """Turn config entries into parser defaults; flags then take precedence."""
-    typed: dict[str, object] = {}
-    actions = {a.dest: a for a in parser._actions}
+def _config_flags(args: argparse.Namespace, cfg: dict[str, str]) -> list[str]:
+    """The config entries as flags, for argparse to type and check.
+
+    `args` is the command line parsed alone: its keys are the subcommand's
+    dests, a bool one is a switch and a list one takes several values.
+    """
+    flags: list[str] = []
     for key, value in cfg.items():
         dest = key.replace("-", "_")
-        if dest not in actions or dest in ("help", "config"):
+        if dest not in vars(args) or dest in ("command", "config", "fn"):
             raise DomainError(f"unknown config key {key!r}")
-        action = actions[dest]
-        try:
-            if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-                typed[dest] = value.lower() in ("1", "true", "yes", "on")
-            elif action.nargs in ("*", "+"):
-                typed[dest] = [(action.type or str)(v) for v in value.split()]
-            else:
-                typed[dest] = (action.type or str)(value)
-                if action.choices and typed[dest] not in action.choices:
-                    raise ValueError  # argparse checks only parsed flags against choices
-        except ValueError:
-            raise DomainError(f"bad value for config key {key!r}: {value!r}") from None
-    parser.set_defaults(**typed)
+        flag, given = "--" + dest.replace("_", "-"), getattr(args, dest)
+        if isinstance(given, bool):
+            flags += [flag] if value.lower() in ("1", "true", "yes", "on") else []
+        elif isinstance(given, list):
+            flags += [flag, *value.split()]
+        else:  # one token, so that a value may start with "-" or hold spaces
+            flags.append(f"{flag}={value}")
+    return flags
 
 
 # ------------------------------------------------------------ SVG rendering
@@ -301,7 +307,7 @@ def _cmd_localtime(args: argparse.Namespace) -> int:
 def _add_verify(sub) -> None:
     p = sub.add_parser("verify", help="run the acceptance-criteria suite")
     p.add_argument("--quick", action="store_true", help="reduced Monte Carlo sizes")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", default=None)
     p.set_defaults(fn=_cmd_verify)
 
@@ -329,7 +335,7 @@ def _add_mc(sub) -> None:
     p.add_argument("--dt", type=float, default=None, help="path step (sup-mode tails)")
     p.add_argument("--n", type=int, default=100_000)
     p.add_argument("--partitions", type=int, default=1)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None)
     p.set_defaults(fn=_cmd_mc)
@@ -341,50 +347,35 @@ def _add_localtime(sub) -> None:
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--n", type=int, default=10_000)
     p.add_argument("--dt", type=float, default=1e-2)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None)
     p.set_defaults(fn=_cmd_localtime)
 
 
-_SUBCOMMANDS = {"verify": _add_verify, "curves": _add_curves, "mc": _add_mc, "localtime": _add_localtime}
-
-
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The tubebound parser; with `command` naming a subcommand, only its subparser.
-
-    Each subparser costs a fraction of a millisecond to build, on every
-    call. The one-subparser parser takes the full choice list as its
-    metavar, so its usage line and errors read as the full parser's. Any
-    other `command` (None, -h, a typo) builds all four.
-    """
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The tubebound parser, built once: a config file reaches it as flags, never as defaults."""
     parser = argparse.ArgumentParser(
         prog="tubebound",
         description="Moment bounds for Brownian motion near a submanifold: "
         "verification and experiments.",
     )
-    if command in _SUBCOMMANDS:
-        sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(_SUBCOMMANDS) + "}")
-        _SUBCOMMANDS[command](sub)
-    else:
-        sub = parser.add_subparsers(dest="command", required=True)
-        for add in _SUBCOMMANDS.values():
-            add(sub)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for add in (_add_verify, _add_curves, _add_mc, _add_localtime):
+        add(sub)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # the parser reads TUBEBOUND_SEED for its defaults; then find the
-    # subcommand parser to honor a config file, flags winning
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
-        parser = _build_parser(argv[0] if argv else None)
-        pre, _ = parser.parse_known_args(argv)
-        if getattr(pre, "config", None):
-            sub_actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-            sub_parser = sub_actions[0].choices[pre.command]
-            _apply_config(sub_parser, _load_config(pre.config))
-        args = parser.parse_args(argv)
+        if args.config:  # its entries go between the subcommand and the flags given, which win
+            args = parser.parse_args(argv[:1] + _config_flags(args, _load_config(args.config)) + argv[1:])
+        if getattr(args, "seed", 0) is None:  # curves has no --seed
+            args.seed = _default_seed()
         return args.fn(args)
     except (DomainError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)

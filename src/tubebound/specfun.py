@@ -40,10 +40,13 @@ def comparison(kappa: float, lam: float, t: float) -> ComparisonValues:
 
     G and F come from closed-form derivatives, never finite differences.
     For kappa < 0 both are evaluated through tanh to stay finite for
-    large sqrt(-kappa)*t.
+    large sqrt(-kappa)*t. DomainError at a NaN or infinite argument.
     """
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t}")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"t must be positive and finite, got {t}")
+    # NaN-failing: a NaN kappa would reach the kappa < 0 branch and read as s = c = inf
+    if not (-math.inf < kappa < math.inf and -math.inf < lam < math.inf):
+        raise DomainError(f"kappa and lam must be finite, got kappa={kappa}, lam={lam}")
     if kappa > 0.0:
         rk = math.sqrt(kappa)
         v = rk * t
@@ -226,8 +229,8 @@ def upper_gamma(a: float, x: float) -> float:
     """
     from scipy.special import exp1, gammaincc  # here, so that `import tubebound` loads no scipy
 
-    if a < 0.0 or x < 0.0:
-        raise DomainError(f"need a, x >= 0, got a={a}, x={x}")
+    if not (0.0 <= a < math.inf and x >= 0.0):  # also at a NaN; Gamma(inf, x) overflows
+        raise DomainError(f"need finite a >= 0 and x >= 0, got a={a}, x={x}")
     if a == 0.0:
         if x == 0.0:
             raise DomainError("Gamma(0, 0) diverges")

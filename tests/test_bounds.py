@@ -770,6 +770,31 @@ def test_nan_arguments_are_domain_errors(call):
         call()
 
 
+_P3 = LyapunovParams(3.0, 0.0)
+R0_CALLS = {
+    "exp_sq_bound": lambda r0: exp_sq_bound(_P3, r0, 1.0, 0.1),
+    "exp_sq_curve": lambda r0: exp_sq_curve(_P3, r0, 0.1, [0.5, 1.0]),
+    "exp_dist_bound": lambda r0: exp_dist_bound(_P3, r0, 1.0, 0.1),
+    "exp_dist_curve": lambda r0: exp_dist_curve(_P3, r0, 0.1, [0.5, 1.0]),
+    "concentration_bound": lambda r0: concentration_bound(_P3, r0, 1.0, 2.0, 0.5),
+    "concentration_bound_optimized": lambda r0: concentration_bound_optimized(_P3, r0, 1.0, 2.0),
+    "exit_time_bound": lambda r0: exit_time_bound(_P3, r0, 1.0, 2.0, 0.5),
+    "feynman_kac_bound-linear": lambda r0: feynman_kac_bound("linear", _P3, r0, 1.0, 0.1),
+    "feynman_kac_bound-quadratic": lambda r0: feynman_kac_bound("quadratic", _P3, r0, 1.0, 0.1),
+    "logsob_bound-linear": lambda r0: logsob_bound("linear", 3, 0, 0.0, 0.0, r0, 1.0, 0.1),
+    "logsob_bound-quadratic": lambda r0: logsob_bound("quadratic", 3, 0, 0.0, 0.0, r0, 1.0, 0.1),
+    "even_moment_bound": lambda r0: even_moment_bound(_P3, r0, 1.0, 2),
+}
+
+
+@pytest.mark.parametrize("r0", [math.nan, -1.0, math.inf], ids=["nan", "-1", "inf"])
+@pytest.mark.parametrize("name", R0_CALLS)
+def test_r0_outside_the_distances_is_a_domain_error(name, r0):
+    # not a NaN value, nor -1 read as distance 1 through r0 * r0; a curve refuses the whole grid
+    with pytest.raises(DomainError, match="r0"):
+        R0_CALLS[name](r0)
+
+
 def test_bound_curve_handles_domain_errors():
     p = LyapunovParams(nu=2.0, lam=0.0)
     curve = bound_curve(lambda t: exp_sq_bound(p, 0.0, t, 0.5), [1.0, 1.9, 2.5])

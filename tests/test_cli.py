@@ -1,4 +1,3 @@
-import argparse
 import math
 import re
 
@@ -313,6 +312,16 @@ def test_non_integer_env_seed_exits_two(cmd, monkeypatch, capsys):
     assert captured.out == ""
 
 
+def test_non_integer_env_seed_is_not_read_with_seed_or_help(monkeypatch, capsys):
+    monkeypatch.setenv("TUBEBOUND_SEED", "abc")
+    assert cli.main(["mc", "--n", "200", "--seed", "5"]) == 0
+    for argv in (["--help"], ["mc", "--help"]):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 0
+    assert "TUBEBOUND_SEED" not in capsys.readouterr().err
+
+
 def test_localtime_rejects_flat(capsys):
     assert cli.main(["localtime", "--scenario", "flat", "--n", "100"]) == 2
 
@@ -361,11 +370,70 @@ def test_localtime_eps_config_key_is_error(tmp_path, capsys):
 
 
 def test_config_bad_value_is_config_error(tmp_path, capsys):
+    # argparse types and checks an entry as it does the flag: the same usage line, message and exit code
     cfg = tmp_path / "bad.cfg"
-    for text in ("m=abc\n", "scenario=torus\n"):
+    for text, flag, message in (("m=abc\n", ["--m", "abc"], "argument --m: invalid int value: 'abc'"),
+                                ("scenario=torus\n", ["--scenario", "torus"], "argument --scenario: invalid choice: 'torus'")):
         cfg.write_text(text)
-        assert cli.main(["mc", "--config", str(cfg)]) == 2
-        assert "config error" in capsys.readouterr().err
+        errs = []
+        for argv in (["mc", "--config", str(cfg)], ["mc", *flag]):
+            with pytest.raises(SystemExit) as err:
+                cli.main(argv)
+            assert err.value.code == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert message in errs[0]
+
+
+def _files(path):
+    return {f.name: f.read_bytes() for f in path.iterdir()}
+
+
+@pytest.mark.parametrize("cmd, entries, flags", [
+    ("curves", "m=4\nR=-1 2\nsteps=50\n", ["--m", "4", "--R", "-1", "2", "--steps", "50"]),
+    ("mc", "scenario=h3\nkappa=-1\nn=2000\nt=0.5\n", ["--scenario", "h3", "--kappa", "-1", "--n", "2000", "--t", "0.5"]),
+], ids=["curves", "mc"])
+def test_config_reads_as_its_flags_and_leaves_the_parser_as_built(cmd, entries, flags, tmp_path, capsys):
+    # the entries become the flags, and the parser is kept across calls: a plain
+    # call after a config call reads the parser's defaults, as one before it does
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(entries)
+    runs = {}
+    for name, argv in (("plain", []), ("flags", flags), ("config", ["--config", str(cfg)]), ("plain again", [])):
+        out = tmp_path / name
+        rc = cli.main([cmd, *argv, "--out", str(out)])
+        runs[name] = rc, capsys.readouterr().out.replace(str(out), "OUT"), _files(out)
+    assert runs["config"] == runs["flags"] != runs["plain"] == runs["plain again"]
+
+
+@pytest.mark.parametrize("entry, quick", [("quick=true", True), ("quick=On", True), ("quick=false", False), ("quick=no", False)])
+def test_config_switch(entry, quick, tmp_path, monkeypatch):
+    # a switch is set by 1/true/yes/on in any case; --quick given wins over quick=false
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(entry + "\n")
+    seen = []
+    monkeypatch.setattr(cli, "run_all", lambda quick, seed: seen.append(quick) or [])
+    assert cli.main(["verify", "--config", str(cfg)]) == 0
+    assert cli.main(["verify", "--config", str(cfg), "--quick"]) == 0
+    assert seen == [quick, True]
+
+
+def test_config_list_and_value_flags_win(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m=4\nR=-1 2\nsteps=20\n")
+    out = tmp_path / "out"
+    assert cli.main(["curves", "--config", str(cfg), "--m", "5", "--R", "1", "--out", str(out)]) == 0
+    assert sorted(_files(out)) == ["exp_dist.svg", "exp_dist_R1.csv", "exp_sq.svg", "exp_sq_R1.csv", "explosions.csv"]
+    assert "nu=5" in (out / "exp_sq.svg").read_text()
+
+
+@pytest.mark.parametrize("name", ["a b", "k=v"])
+def test_config_value_is_one_token(name, tmp_path):
+    # everything after the first "=" of a line, spaces and "=" included, is one value
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"steps=20\nR=1\nout={tmp_path / name}\n")
+    assert cli.main(["curves", "--config", str(cfg)]) == 0
+    assert (tmp_path / name / "explosions.csv").is_file()
 
 
 def test_config_missing_file_is_error(tmp_path, capsys):
@@ -380,8 +448,8 @@ PARSER_ARGVS = [
 
 
 @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda a: " ".join(a) or "none")
-def test_main_reads_as_with_the_full_parser(argv, tmp_path, monkeypatch, capsys):
-    # stdout, stderr and exit code of main, against main with all four subparsers built
+def test_main_reads_as_with_the_full_parser(argv, tmp_path, capsys):
+    # stdout, stderr and exit code of main on the call that builds the parser and on one that reuses it
     cfg = tmp_path / "run.cfg"
     cfg.write_text("steps=50\nbogus=1\n")  # a curves key, then a key of no subcommand
     argv = [str(cfg) if a == "{cfg}" else a for a in argv]
@@ -394,18 +462,10 @@ def test_main_reads_as_with_the_full_parser(argv, tmp_path, monkeypatch, capsys)
         captured = capsys.readouterr()
         return rc, captured.out, captured.err
 
+    cli._build_parser.cache_clear()
     got = run()
-    build = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda command=None: build())
-    assert got == run()
+    assert run() == got
     assert got[0] in (0, 2)
-
-
-@pytest.mark.parametrize("command", ["verify", "curves", "mc", "localtime"])
-def test_parser_for_a_subcommand_builds_only_it(command):
-    (sub,) = [a for a in cli._build_parser(command)._actions if isinstance(a, argparse._SubParsersAction)]
-    assert list(sub.choices) == [command]
-    assert cli._build_parser(command).format_usage() == cli._build_parser().format_usage()
 
 
 def test_bad_flag_exits_two():
@@ -428,6 +488,7 @@ def test_out_of_domain_bound_request_exits_two(tmp_path, capsys):
 
 
 def test_seed_env_var_used(tmp_path, monkeypatch):
+    cli._build_parser()  # the variable is read when a command runs, not when the parser is built
     monkeypatch.setenv("TUBEBOUND_SEED", "777")
     rc = cli.main(["mc", "--scenario", "circle", "--t", "1", "--n", "500",
                    "--out", str(tmp_path)])

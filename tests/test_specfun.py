@@ -101,6 +101,18 @@ def test_comparison_domain_errors():
         comparison(-1.0, 0.0, 0.0)  # t must be positive
 
 
+@pytest.mark.parametrize("call", [
+    lambda: upper_gamma(math.nan, 1.0), lambda: upper_gamma(1.0, math.nan), lambda: upper_gamma(math.inf, 1.0),
+    lambda: comparison(math.inf, 0.0, 1.0), lambda: comparison(math.nan, 0.0, 1.0),
+    lambda: comparison(0.0, math.nan, 1.0), lambda: comparison(-1.0, 0.0, math.nan), lambda: comparison(1.0, 0.0, math.inf),
+], ids=["gamma-a-nan", "gamma-x-nan", "gamma-a-inf", "comparison-kappa-inf", "comparison-kappa-nan",
+        "comparison-lam-nan", "comparison-t-nan", "comparison-t-inf"])
+def test_non_finite_arguments_are_domain_errors(call):
+    # not a NaN or infinite value, nor a ValueError from math.sin
+    with pytest.raises(DomainError):
+        call()
+
+
 # ------------------------------------------------------------------ laguerre
 
 def test_laguerre_order_zero():
