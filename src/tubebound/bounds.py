@@ -35,11 +35,14 @@ def radial_R(lam: float, t: float) -> float:
     series replaces the quotient for |lam t| < 1e-6 so the cancellation in
     the numerator cannot surface. A caller divides by a saturated R, which
     makes its bound larger, or multiplies by it only to saturate too or to
-    fail its domain check.
+    fail its domain check. At lam = inf R is its limit 0.0; DomainError at
+    a NaN lam or at lam = -inf.
     """
     if not 0.0 <= t < math.inf:
         raise DomainError(f"t must be finite and non-negative, got {t}")
-    x = lam * t
+    if not lam > -math.inf:  # also at a NaN, which read as the saturation
+        raise DomainError(f"lam must be a number above -inf, got {lam}")
+    x = lam * t if t else 0.0  # not inf * 0
     if abs(x) < 1e-6:
         return t * (1.0 - x / 2.0 + x * x / 6.0)
     if x < -700.0:  # e^(-x) leaves the floats; R = e^(-x) / -lam to double precision
@@ -165,8 +168,8 @@ def explosion_time(p: LyapunovParams, theta: float) -> Optional[float]:
 
 def logsob_time_constant(m: int, C1: float, t: float) -> float:
     """C(t) = (e^((m-1) C1^2 t) - 1) / ((m-1) C1^2), continuous value t at C1 = 0."""
-    if m < 1 or C1 < 0.0 or t < 0.0:
-        raise DomainError(f"need m >= 1 and C1, t >= 0, got m={m}, C1={C1}, t={t}")
+    if not (m >= 1 and 0.0 <= C1 < math.inf and 0.0 <= t < math.inf):  # also at a NaN
+        raise DomainError(f"need m >= 1 and finite C1, t >= 0, got m={m}, C1={C1}, t={t}")
     return radial_R(-(m - 1) * C1 * C1, t)
 
 
@@ -190,8 +193,9 @@ def logsob_bound(
         raise DomainError(f"mode must be linear or quadratic, got {mode!r}")
     if not 0 <= n <= m - 1:
         raise DomainError(f"need 0 <= n <= m-1, got m={m}, n={n}")
-    if min(C1, Lambda, t, theta) < 0.0:
-        raise DomainError("C1, Lambda, t, theta must all be non-negative")
+    if not (0.0 <= C1 < math.inf and 0.0 <= Lambda < math.inf and 0.0 <= t < math.inf
+            and 0.0 <= theta < math.inf):  # also at a NaN
+        raise DomainError(f"C1, Lambda, t, theta must be finite and non-negative, got {C1}, {Lambda}, {t}, {theta}")
     if not 0.0 <= r0 < math.inf:
         raise DomainError(f"r0 must be a finite non-negative distance, got {r0}")
     Ct, k = logsob_time_constant(m, C1, t), (m - 1) * C1 * C1
@@ -207,7 +211,9 @@ def logsob_bound(
         return _exp_sat(theta * base + drift * theta * t / 2.0 + quad)
     if x >= 1.0:
         raise DomainError(f"quadratic mode requires theta C(t) < 1, got {x}")
-    return _exp_sat(theta * (base + drift * t / 2.0) ** 2 / (2.0 * (1.0 - x)))
+    y = base + drift * t / 2.0
+    q = theta * y**2 if y < 1e154 else theta * y * y  # a float y**2 raises OverflowError past the floats
+    return _exp_sat(q / (2.0 * (1.0 - x)))
 
 
 def _concentration_radial(p: LyapunovParams, t: float, r: float) -> tuple[float, float]:
@@ -352,9 +358,12 @@ def exp_sq_curve(p: LyapunovParams, r0: float, theta: float, grid: Sequence[floa
 
 
 def exp_dist_curve(p: LyapunovParams, r0: float, theta: float, grid: Sequence[float]) -> BoundCurve:
-    """exp_dist_bound over a time grid; finite for all t. DomainError at an r0 outside [0, inf)."""
+    """exp_dist_bound over a time grid; finite for all t. DomainError at an r0
+    or a theta outside [0, inf), checked once for the curve."""
     if not 0.0 <= r0 < math.inf:
         raise DomainError(f"r0 must be a finite non-negative distance, got {r0}")
+    if not 0.0 <= theta < math.inf:
+        raise DomainError(f"theta must be finite and non-negative, got {theta}")
     return bound_curve(lambda t: exp_dist_bound(p, r0, t, theta), grid)
 
 

@@ -8,8 +8,8 @@ it does the flag, and a flag given wins: a switch (quick) is set by
 --key=value. A key the subcommand lacks is a config error. The parser is
 built once per process and never changed; the seed default is read from
 $TUBEBOUND_SEED when a command runs without --seed. Every artifact
-written (CSV, SVG) is a pure function of config + seed + partitions, so
-reruns are byte-identical.
+written (CSV, SVG) is a pure function of config + seed, so reruns are
+byte-identical.
 
 Exit codes: 0 all comparisons pass, 1 a comparison failed, 2 bad config.
 """
@@ -242,22 +242,22 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     s = _build_scenario(args, args.scenario or "flat")
     lp = lyapunov_params(s)
     if args.theta is not None:
-        est = mc_exp_moment(s, args.theta, args.t, True, args.n, args.seed, args.partitions)
+        est = mc_exp_moment(s, args.theta, args.t, True, args.n, args.seed)
         bound = exp_sq_bound(lp, s.r0, args.t, args.theta)
         name = f"exp_sq_moment_theta={args.theta:g}"
     elif args.r is not None:
         if args.dt is not None:
-            est = tail_prob(s, args.r, args.t, True, args.n, args.dt, args.seed, args.partitions)
+            est = tail_prob(s, args.r, args.t, True, args.n, args.dt, args.seed)
             opt = concentration_bound_optimized(lp, s.r0, args.t, args.r)
             bound = exit_time_bound(lp, s.r0, args.t, args.r, opt.delta)
             name = f"sup_tail_r={args.r:g}"
         else:
-            est = tail_prob(s, args.r, args.t, False, args.n, None, args.seed, args.partitions)
+            est = tail_prob(s, args.r, args.t, False, args.n, None, args.seed)
             bound = concentration_bound_optimized(lp, s.r0, args.t, args.r).value
             name = f"tail_r={args.r:g}"
     else:
         p = args.p if args.p is not None else 1
-        est = mc_moment(s, p, args.t, args.n, args.seed, args.partitions)
+        est = mc_moment(s, p, args.t, args.n, args.seed)
         bound = even_moment_bound(lp, s.r0, args.t, p)
         name = f"moment_p={p}"
     ok = Check(name, est.mean, "<=", bound, 3.0 * est.stderr).ok
@@ -334,7 +334,6 @@ def _add_mc(sub) -> None:
     p.add_argument("--r", type=float, default=None, help="tail radius instead")
     p.add_argument("--dt", type=float, default=None, help="path step (sup-mode tails)")
     p.add_argument("--n", type=int, default=100_000)
-    p.add_argument("--partitions", type=int, default=1)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None)

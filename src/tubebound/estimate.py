@@ -1,18 +1,17 @@
 """Monte Carlo functionals: moments, exponential moments, tail probabilities
 and local times, the path ones conditioned on the bridge between grid points.
 
-Draw-based estimators split n over `partitions` partitions and each
-partition into blocks of at most _DRAW_BLOCK draws, block j of partition i
-drawn from simulate.stream(seed, i, j). Path-based ones split n into blocks
-of R = block_rows(steps) paths, block b drawn by sample_paths from
+Draw-based estimators split n into blocks of at most _DRAW_BLOCK draws,
+block j drawn from simulate.stream(seed, 0, j). Path-based ones split n into
+blocks of R = block_rows(steps) paths, block b drawn by sample_paths from
 stream(seed, b), so neither n nor the worker count changes path k. The
 samplers take generators; only this module (and simulate.sample_path, the
 benchmark's shim) maps a seed to streams. Both kinds of block run on one
 pool of _WORKERS threads, kept for the process (_map), and one reduction
 takes both (_reduce): each block returns partial sums where it is drawn, its
 squares summed about its own mean, and they are merged in block order. So
-results are bit-reproducible for a given (seed, partitions) whatever the
-worker count, and bounded in memory whatever n.
+results are bit-reproducible for a given (n, seed) whatever the worker
+count, and bounded in memory whatever n.
 """
 from __future__ import annotations
 
@@ -46,15 +45,7 @@ class MCEstimate:
     stderr: float
     n: int
     seed: int
-    partitions: int = 1
     overflow: int = 0
-
-
-def _partition_sizes(n: int, partitions: int) -> list[int]:
-    if partitions < 1 or partitions > n:
-        raise DomainError(f"need 1 <= partitions <= n, got {partitions} for n={n}")
-    base, extra = divmod(n, partitions)
-    return [base + (1 if i < extra else 0) for i in range(partitions)]
 
 
 def _map(fn: Callable, items) -> list:
@@ -72,28 +63,24 @@ def _map(fn: Callable, items) -> list:
     return list(_pool.map(fn, items))
 
 
-def _draw_blocks(n: int, partitions: int) -> list[tuple[int, int, int]]:
-    # (i, j, size) of each block of n endpoint draws: partition i's draws
-    # j * _DRAW_BLOCK onward, drawn from stream(seed, i, j) by _draws
+def _draw_blocks(n: int) -> list[tuple[int, int]]:
+    # (j, size) of each block of n endpoint draws: draws j * _DRAW_BLOCK
+    # onward, drawn from stream(seed, 0, j) by _draws
     if n < 100:
         raise DomainError(f"need n >= 100, got {n}")
-    sizes = _partition_sizes(n, partitions)
-    return [(i, k // _DRAW_BLOCK, min(_DRAW_BLOCK, size - k)) for i, size in enumerate(sizes)
-            for k in range(0, size, _DRAW_BLOCK)]
+    return [(k // _DRAW_BLOCK, min(_DRAW_BLOCK, n - k)) for k in range(0, n, _DRAW_BLOCK)]
 
 
-def _draws(s: Scenario, t: float, seed: int, block: tuple[int, int, int]) -> np.ndarray:
-    return sample_distances(s, t, stream(seed, block[0], block[1]), block[2])
+def _draws(s: Scenario, t: float, seed: int, block: tuple[int, int]) -> np.ndarray:
+    return sample_distances(s, t, stream(seed, 0, block[0]), block[1])
 
 
-def mc_mean(
-    s: Scenario, t: float, n: int, seed: int, fn: Callable[[np.ndarray], np.ndarray], partitions: int = 1
-) -> MCEstimate:
+def mc_mean(s: Scenario, t: float, n: int, seed: int, fn: Callable[[np.ndarray], np.ndarray]) -> MCEstimate:
     """Mean of fn(r_N(X_t)) over n exact endpoint draws, with its standard error (see _reduce)."""
-    return _reduce(lambda b: fn(_draws(s, t, seed, b)), _draw_blocks(n, partitions), n, seed, partitions)
+    return _reduce(lambda b: fn(_draws(s, t, seed, b)), _draw_blocks(n), n, seed)
 
 
-def _reduce(values: Callable, blocks, n: int, seed: int, partitions: int = 1) -> MCEstimate:
+def _reduce(values: Callable, blocks, n: int, seed: int) -> MCEstimate:
     """Mean of the n values that values(block) returns over `blocks`, with its
     standard error; each block runs on _map's pool.
 
@@ -127,7 +114,7 @@ def _reduce(values: Callable, blocks, n: int, seed: int, partitions: int = 1) ->
     for k, part, part_scaled, _ in parts:
         g = _mean(k, part, part_scaled) - mean if k else 0.0
         m2 += k * g * g  # not g ** 2, which raises OverflowError where g * g is inf
-    return MCEstimate(mean, math.sqrt(m2 / max(kept - 1, 1) / kept), n, seed, partitions, n - kept)
+    return MCEstimate(mean, math.sqrt(m2 / max(kept - 1, 1) / kept), n, seed, n - kept)
 
 
 def _mean(k: int, part: float, scaled: float) -> float:
@@ -135,25 +122,27 @@ def _mean(k: int, part: float, scaled: float) -> float:
     return part / k if math.isfinite(part) else scaled / k / 2.0**-64
 
 
-def mc_moment(s: Scenario, p: int, t: float, n: int, seed: int, partitions: int = 1) -> MCEstimate:
-    """Mean of r_N(X_t)^(2p) over n exact endpoint draws."""
+def mc_moment(s: Scenario, p: int, t: float, n: int, seed: int, _unused: object = None) -> MCEstimate:
+    """Mean of r_N(X_t)^(2p) over n exact endpoint draws. The last parameter is never
+    read: the benchmark fills it, and ROADMAP item 1 removes it with sample_path."""
     if not (isinstance(p, (int, np.integer)) and p >= 1):
         raise DomainError(f"p must be a positive integer, got {p}")
-    return mc_mean(s, t, n, seed, lambda r: r ** (2 * p), partitions)
+    return mc_mean(s, t, n, seed, lambda r: r ** (2 * p))
 
 
 def mc_exp_moment(
-    s: Scenario, theta: float, t: float, square: bool, n: int, seed: int, partitions: int = 1
+    s: Scenario, theta: float, t: float, square: bool, n: int, seed: int, _unused: object = None
 ) -> MCEstimate:
     """Mean of exp(theta r) or exp(theta r^2 / 2) over n exact endpoint draws.
 
     Draws whose exponential overflows (an exponent past about 709.78) are
     dropped by mc_mean and counted in the `overflow` field as a heavy-tail
     warning, so `overflow` counts exactly the values that are not finite.
+    The last parameter is never read, as in mc_moment.
     """
     if not 0.0 <= theta < math.inf:
         raise DomainError(f"theta must be finite and non-negative, got {theta}")
-    return mc_mean(s, t, n, seed, lambda r: np.exp(theta * r * r / 2.0 if square else theta * r), partitions)
+    return mc_mean(s, t, n, seed, lambda r: np.exp(theta * r * r / 2.0 if square else theta * r))
 
 
 def mc_path_mean(s: Scenario, dt: float, T: float, n: int, seed: int, fn: PathFn) -> MCEstimate:
@@ -225,7 +214,7 @@ def tail_prob(
     n: int,
     dt: float | None,
     seed: int,
-    partitions: int = 1,
+    _unused: object = None,
 ) -> MCEstimate:
     """Probability of r_N(X_t) >= r, or of sup_{s<=t} r_N >= r.
 
@@ -233,20 +222,17 @@ def tail_prob(
     half-width as standard error within 0.05 of 0 or 1 (no zero-stderr
     artifacts at rare or near-certain events).
     Sup mode averages over paths at step dt each one's bridge-crossing
-    probability given its grid (no grid-monitoring bias), with partitions 1 only.
+    probability given its grid (no grid-monitoring bias).
+    The last parameter is never read, as in mc_moment.
     """
     if not 0.0 < r < math.inf:
         raise DomainError(f"r must be positive and finite, got {r}")
     if sup_mode:
         if dt is None:
             raise DomainError("sup mode needs a path step dt")
-        if partitions != 1:
-            raise DomainError(f"sup mode runs one stream per block of paths: need partitions 1, got {partitions}")
         return mc_path_mean(s, dt, t, n, seed, lambda v: _bridge_crossing(v, r, dt))
-    phat = sum(_map(lambda b: int(np.count_nonzero(_draws(s, t, seed, b) >= r)), _draw_blocks(n, partitions))) / n
-    return MCEstimate(
-        mean=phat, stderr=_binomial_stderr(phat, n), n=n, seed=seed, partitions=partitions
-    )
+    phat = sum(_map(lambda b: int(np.count_nonzero(_draws(s, t, seed, b) >= r)), _draw_blocks(n))) / n
+    return MCEstimate(mean=phat, stderr=_binomial_stderr(phat, n), n=n, seed=seed)
 
 
 def _binomial_stderr(phat: float, n: int) -> float:
@@ -259,10 +245,8 @@ def _binomial_stderr(phat: float, n: int) -> float:
 
 
 def estimates_to_csv(rows: Iterable[tuple[str, MCEstimate]]) -> str:
-    """CSV text with header quantity,mean,stderr,n,seed,partitions."""
-    lines = ["quantity,mean,stderr,n,seed,partitions"]
+    """CSV text with header quantity,mean,stderr,n,seed."""
+    lines = ["quantity,mean,stderr,n,seed"]
     for name, est in rows:
-        lines.append(
-            f"{name},{est.mean!r},{est.stderr!r},{est.n},{est.seed},{est.partitions}"
-        )
+        lines.append(f"{name},{est.mean!r},{est.stderr!r},{est.n},{est.seed}")
     return "\n".join(lines) + "\n"

@@ -164,7 +164,8 @@ def exact_moment(s: Scenario, p: int, t: float) -> Optional[float]:
 
     Flat and H^3 at the pole: r = |c e + B_t| in R^d (_gaussian_law), so
     E r^{2p} = (2t)^p p! L^{d/2-1}_p(-c^2/2t); on H^3 at p = 1, 3t - kappa t^2.
-    Circle: only the t -> inf limit pi^2/3.
+    Circle: only the t -> inf limit pi^2/3. Elsewhere DomainError at t = inf
+    where a closed form exists, since the moment grows without bound.
     """
     if not (_whole(p) and p >= 1):
         raise DomainError(f"p must be a positive integer, got {p}")
@@ -173,8 +174,10 @@ def exact_moment(s: Scenario, p: int, t: float) -> Optional[float]:
     if isinstance(s, CirclePoint):
         return math.pi**2 / 3.0 if math.isinf(t) and p == 1 else None
     law = _gaussian_law(s, t)
-    if law is None or math.isinf(t):
+    if law is None:
         return None
+    if math.isinf(t):
+        raise DomainError("E r^2p grows without bound: no limit at t = inf")
     d, c = law
     return (2.0 * t) ** p * math.factorial(p) * laguerre(p, d / 2.0 - 1.0, -(c**2) / (2.0 * t))
 
@@ -186,8 +189,8 @@ def exact_exp_moment(s: Scenario, theta: float, t: float) -> Optional[float]:
     exp(theta c^2 / (2 (1 - theta t))), for theta * t < 1; theta = 0 is 1 everywhere.
     Evaluated in logs; a value past the float range raises DomainError.
     """
-    if theta < 0.0:
-        raise DomainError(f"theta must be non-negative, got {theta}")
+    if not 0.0 <= theta < math.inf:  # also at a NaN
+        raise DomainError(f"theta must be finite and non-negative, got {theta}")
     if not t > 0.0:
         raise DomainError(f"t must be positive, got {t}")
     if theta == 0.0:

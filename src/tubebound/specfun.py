@@ -135,10 +135,13 @@ def kummerm1(a: float, b: float, z: float) -> float:
     shrinking term is twice below 1e-16 of the sum; for a subnormal a it is summed at
     a 2^600 and scaled back, so that its first term a z / b keeps every digit.
     ConvergenceError past float range or at 1e5 terms (n > 1e5 included); DomainError
-    at a NaN argument, or at b a non-positive integer or -inf.
+    at a NaN argument, an infinite a or z, or b a non-positive integer or -inf. At
+    b = +inf it is its limit 0.0.
     """
-    if b <= 0.0 and (b == -math.inf or float(b).is_integer()):  # poles, with no limit at -inf
-        raise DomainError(f"b must not be a non-positive integer or -inf, got {b}")
+    if not (-math.inf < a < math.inf and -math.inf < z < math.inf and b > -math.inf):  # also at a NaN
+        raise DomainError(f"need finite a and z and b > -inf (no limit there), got a={a}, b={b}, z={z}")
+    if b <= 0.0 and float(b).is_integer():  # poles
+        raise DomainError(f"b must not be a non-positive integer, got {b}")
     n = a - b
     if z >= 0.0 and b > 0.0 and n >= 0.0 and float(n).is_integer():
         if n > _KUMMER_CAP:
@@ -179,8 +182,6 @@ def _series_m1(a: float, b: float, z: float) -> float:
         term *= ratio
         total += term
         if not math.isfinite(total):
-            if math.isnan(a) or math.isnan(b) or math.isnan(z):  # a NaN ends here, off the finite calls' path
-                raise DomainError(f"1F1({a}, {b}, {z}) has a NaN argument")
             raise ConvergenceError(f"1F1({a}, {b}, {z}) overflows a float")
         if abs(term) <= _KUMMER_TOL * abs(total) and abs(ratio) < 1.0:
             small += 1
@@ -252,12 +253,18 @@ def lemma_laguerre_rhs(p: int, alpha: float, z: float) -> float:
     """Envelope (12(1+z))^p Gamma(alpha+1+p) / Gamma(alpha+1) for p! L^alpha_p(-z).
 
     Computed in log space so p up to 50 cannot overflow intermediates.
+    DomainError where the envelope itself leaves the floats.
     """
     if not (_whole(p) and p >= 0):
         raise DomainError(f"order must be a non-negative integer, got {p}")
-    if not (alpha >= 0.0 and z >= 0.0):  # also at a NaN
-        raise DomainError(f"need alpha, z >= 0, got alpha={alpha}, z={z}")
+    if not (0.0 <= alpha < math.inf and 0.0 <= z < math.inf):  # also at a NaN
+        raise DomainError(f"need finite alpha, z >= 0, got alpha={alpha}, z={z}")
     if p == 0:
         return 1.0
-    logval = p * math.log(12.0 * (1.0 + z)) + math.lgamma(alpha + 1.0 + p) - math.lgamma(alpha + 1.0)
-    return math.exp(logval)
+    try:
+        value = math.exp(p * math.log(12.0 * (1.0 + z)) + math.lgamma(alpha + 1.0 + p) - math.lgamma(alpha + 1.0))
+    except OverflowError:  # exp, or lgamma at a huge alpha
+        value = math.inf
+    if value == math.inf:  # also where 12 (1 + z) overflows
+        raise DomainError(f"the envelope overflows a float at p={p}, alpha={alpha}, z={z}")
+    return value

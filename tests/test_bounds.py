@@ -65,6 +65,11 @@ def test_radial_r_zero_lambda_exact():
     assert radial_R(0.0, 5.0) == 5.0
 
 
+def test_radial_r_infinite_lambda_is_its_limit():
+    # (1 - e^(-lam t)) / lam -> 0, also at t = 0, where lam t is inf * 0
+    assert radial_R(math.inf, 0.0) == 0.0 == radial_R(math.inf, 2.0)
+
+
 def test_radial_r_direct_value():
     assert radial_R(1.0, 1.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-15)
 

@@ -113,7 +113,7 @@ def test_mc_h3_moment_passes(tmp_path, capsys):
     assert rc == 0
     assert "PASS" in out
     header, rows = _read_csv_rows(tmp_path / "mc_results.csv")
-    assert header == ["quantity", "mean", "stderr", "n", "seed", "partitions"]
+    assert header == ["quantity", "mean", "stderr", "n", "seed"]
     assert float(rows[0][1]) == pytest.approx(4.0, abs=0.1)
 
 
@@ -152,7 +152,7 @@ def test_mc_csv_byte_identical(tmp_path):
     for out in (a, b):
         rc = cli.main(
             ["mc", "--scenario", "h3", "--t", "0.5", "--n", "2000",
-             "--partitions", "4", "--seed", "5", "--out", str(out)]
+             "--seed", "5", "--out", str(out)]
         )
         assert rc == 0
     assert (a / "mc_results.csv").read_bytes() == (b / "mc_results.csv").read_bytes()
@@ -160,7 +160,7 @@ def test_mc_csv_byte_identical(tmp_path):
 
 RERUN_COMMANDS = [
     ["curves", "--R", "-1", "0", "--steps", "40"],
-    ["mc", "--scenario", "h3", "--t", "0.5", "--n", "2000", "--partitions", "2"],
+    ["mc", "--scenario", "h3", "--t", "0.5", "--n", "2000"],
     ["localtime", "--scenario", "sphere", "--n", "2000", "--dt", "1e-2"],
 ]
 
@@ -240,7 +240,7 @@ def test_localtime_sphere_writes_results_csv(tmp_path, capsys):
     assert rc == 0
     assert sorted(f.name for f in tmp_path.iterdir()) == ["localtime_results.csv"]
     header, rows = _read_csv_rows(tmp_path / "localtime_results.csv")
-    assert header == ["quantity", "mean", "stderr", "n", "seed", "partitions"]
+    assert header == ["quantity", "mean", "stderr", "n", "seed"]
     assert [r[0] for r in rows] == ["sphere_shell"]
     assert rows[0][3:5] == ["400", str(cli._default_seed())]
 
@@ -475,16 +475,24 @@ def test_bad_flag_exits_two():
 
 
 def test_out_of_domain_bound_request_exits_two(tmp_path, capsys):
-    # theta t = 2 is past the exp-square explosion; report, not traceback
+    # theta t = 2 is past the exp-square explosion: a report, not a
+    # traceback, and nothing is written
     rc = cli.main(["mc", "--scenario", "flat", "--m", "1", "--theta", "2.0",
-                   "--t", "1", "--n", "500"])
+                   "--t", "1", "--n", "500", "--out", str(tmp_path)])
     assert rc == 2
     assert "domain" in capsys.readouterr().err
-    # sup mode runs one stream per block of paths, so it takes no --partitions; nothing is written
-    rc = cli.main(["mc", "--r", "2", "--dt", "0.01", "--n", "200", "--partitions", "400", "--out", str(tmp_path)])
-    assert rc == 2
-    assert "partitions 1" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_partitions_is_neither_an_mc_flag_nor_a_config_key(tmp_path, capsys):
+    # endpoint draws are keyed by (n, seed) alone
+    with pytest.raises(SystemExit) as err:
+        cli.main(["mc", "--partitions", "2", "--n", "200"])
+    assert err.value.code == 2
+    cfg = tmp_path / "mc.cfg"
+    cfg.write_text("partitions=2\n")
+    assert cli.main(["mc", "--config", str(cfg), "--n", "200"]) == 2
+    assert "unknown config key 'partitions'" in capsys.readouterr().err
 
 
 def test_seed_env_var_used(tmp_path, monkeypatch):

@@ -66,35 +66,33 @@ def test_mc_moment_validates_inputs():
 
 
 def test_mc_moment_reproducible_bit_for_bit():
-    a = mc_moment(HyperbolicH3Point(kappa=-1.0), 1, 0.5, 2_000, seed=31, partitions=4)
-    b = mc_moment(HyperbolicH3Point(kappa=-1.0), 1, 0.5, 2_000, seed=31, partitions=4)
+    a = mc_moment(HyperbolicH3Point(kappa=-1.0), 1, 0.5, 2_000, seed=31)
+    b = mc_moment(HyperbolicH3Point(kappa=-1.0), 1, 0.5, 2_000, seed=31)
     assert a == b
-    c = mc_moment(HyperbolicH3Point(kappa=-1.0), 1, 0.5, 2_000, seed=31, partitions=2)
-    assert a != c  # partition count is part of the reproducibility tuple
+    c = mc_moment(HyperbolicH3Point(kappa=-1.0), 1, 0.5, 2_000, seed=32)
+    assert a != c  # (n, seed) is the reproducibility key
 
 
 def test_mc_reduce_consumes_each_stream_in_draw_blocks():
-    # n = 3 blocks + 17 over 2 partitions: each partition is one full block and
-    # a short one, block j of partition i drawn from stream(seed, i, j), each
-    # block's squares summed about its own mean, the blocks merged in (i, j)
-    # order by Chan's rule: M2 = sum M2_b + sum k_b (mean_b - mean)^2
+    # n = 3 full blocks + 17: block j drawn from stream(seed, 0, j), each
+    # block's squares summed about its own mean, the blocks merged in order
+    # by Chan's rule: M2 = sum M2_b + sum k_b (mean_b - mean)^2
     s, t, seed, n = HyperbolicH3Point(r0=0.7), 1.0, 12, 3 * _DRAW_BLOCK + 17
     blocks, total, m2, hits = [], 0.0, 0.0, 0
-    for i, size in enumerate((n - n // 2, n // 2)):
-        for j, k in enumerate((_DRAW_BLOCK, size - _DRAW_BLOCK)):
-            draws = sample_distances(s, t, stream(seed, i, j), k)
-            sq = draws**2
-            part = float(np.sum(sq))
-            blocks.append((k, part))
-            total += part
-            m2 += float(np.sum((sq - part / k) ** 2))
-            hits += int(np.count_nonzero(draws >= 2.5))
+    for j, k in enumerate((_DRAW_BLOCK, _DRAW_BLOCK, _DRAW_BLOCK, 17)):
+        draws = sample_distances(s, t, stream(seed, 0, j), k)
+        sq = draws**2
+        part = float(np.sum(sq))
+        blocks.append((k, part))
+        total += part
+        m2 += float(np.sum((sq - part / k) ** 2))
+        hits += int(np.count_nonzero(draws >= 2.5))
     mean = total / n
     for k, part in blocks:
         m2 += k * (part / k - mean) * (part / k - mean)
     stderr = math.sqrt(m2 / (n - 1) / n)
-    assert mc_mean(s, t, n, seed, lambda r: r**2, 2) == MCEstimate(mean, stderr, n, seed, 2, 0)
-    assert tail_prob(s, 2.5, t, False, n, None, seed, 2).mean == hits / n
+    assert mc_mean(s, t, n, seed, lambda r: r**2) == MCEstimate(mean, stderr, n, seed, 0)
+    assert tail_prob(s, 2.5, t, False, n, None, seed).mean == hits / n
 
 
 def _use_workers(monkeypatch, workers):
@@ -103,47 +101,48 @@ def _use_workers(monkeypatch, workers):
     monkeypatch.setattr(estimate, "_pool", None)
 
 
-@pytest.mark.parametrize("partitions", [1, 2, 3])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("n", [100, _DRAW_BLOCK, 3 * _DRAW_BLOCK + 17])
-def test_endpoint_estimates_bit_identical_for_any_worker_count(n, partitions, monkeypatch):
-    # one block, one block per partition, and partitions of several blocks, a ragged last one
+def test_endpoint_estimates_bit_identical_for_any_worker_count(n, workers, monkeypatch):
+    # one short block, one full block, and several blocks with a ragged last
+    # one: a pool of `workers` threads gives the bits of the inline map
     s, t = HyperbolicH3Point(r0=0.7), 1.0
     calls = [
-        lambda: mc_moment(s, 2, t, n, 3, partitions),
-        lambda: mc_exp_moment(s, 0.2, t, True, n, 4, partitions),
-        lambda: mc_exp_moment(s, 0.5, t, False, n, 5, partitions),
-        lambda: tail_prob(s, 2.5, t, False, n, None, 6, partitions),
-        lambda: mc_mean(s, t, n, 7, np.cosh, partitions),
+        lambda: mc_moment(s, 2, t, n, 3),
+        lambda: mc_exp_moment(s, 0.2, t, True, n, 4),
+        lambda: mc_exp_moment(s, 0.5, t, False, n, 5),
+        lambda: tail_prob(s, 2.5, t, False, n, None, 6),
+        lambda: mc_mean(s, t, n, 7, np.cosh),
     ]
     runs, interval = [], sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # threads swap as often as they can
     try:
-        for workers in (1, 2, 3):
-            _use_workers(monkeypatch, workers)
+        for pool in (1, workers):
+            _use_workers(monkeypatch, pool)
             runs.append([call() for call in calls])
     finally:
         sys.setswitchinterval(interval)
-    assert runs[1] == runs[0] and runs[2] == runs[0]
+    assert runs[1] == runs[0]
     assert [est.n for est in runs[0]] == [n] * 5
 
 
 @pytest.mark.parametrize(
     "call,want",
     [
-        (lambda: mc_moment(HyperbolicH3Point(r0=0.7), 1, 1.0, 2 * _DRAW_BLOCK, 12, 2),
-         (4.801819980778577, 0.01451684984967096)),
-        (lambda: mc_exp_moment(SphereInEuclidean(m=3, radius=1.0), 0.3, 1.0, False, 3 * _DRAW_BLOCK - 1, 13, 3),
-         (1.253624928287692, 0.0007362985258380617)),
-        (lambda: tail_prob(EuclideanAffine(m=3, n=0), 2.0, 1.0, False, 3 * _DRAW_BLOCK, None, 14, 3),
-         (0.2624308268229167, 0.0014032117350493106)),
+        (lambda: mc_moment(HyperbolicH3Point(r0=0.7), 1, 1.0, 2 * _DRAW_BLOCK, 12),
+         (4.801942543006744, 0.014466771713655437)),
+        (lambda: mc_exp_moment(SphereInEuclidean(m=3, radius=1.0), 0.3, 1.0, False, 3 * _DRAW_BLOCK - 1, 13),
+         (1.253109951456562, 0.0007300783988715852)),
+        (lambda: tail_prob(EuclideanAffine(m=3, n=0), 2.0, 1.0, False, 3 * _DRAW_BLOCK, None, 14),
+         (0.26287841796875, 0.0014039816606089936)),
         (lambda: mc_mean(HyperbolicH3Point(kappa=-2.0), 0.5, _DRAW_BLOCK, 15, np.cosh),
          (2.3186253351939996, 0.007461598074840775)),
     ],
     ids=["moment", "exp", "tail", "mean"],
 )
 def test_one_block_partitions_golden(call, want):
-    # partitions of at most one block each draw only from stream(seed, i, 0) =
-    # stream(seed, i), in one call each: these estimates are pinned bit for bit
+    # block j of each call draws from stream(seed, 0, j): these estimates are
+    # pinned bit for bit
     est = call()
     assert (est.mean, est.stderr, est.overflow) == (*want, 0)
 
@@ -165,7 +164,7 @@ def test_child_forked_after_the_pool_ran_gets_its_own():
     code = """
 import os, signal
 from tubebound.modelspaces import HyperbolicH3Point
-args = (HyperbolicH3Point(r0=0.7), 1, 1.0, 3 * estimate._DRAW_BLOCK, 8, 2)
+args = (HyperbolicH3Point(r0=0.7), 1, 1.0, 3 * estimate._DRAW_BLOCK, 8)
 want, parent_pool = repr(estimate.mc_moment(*args)), estimate._pool
 r, w = os.pipe()
 pid = os.fork()
@@ -188,9 +187,9 @@ def test_estimator_inside_a_pool_worker_runs_inline():
 from tubebound.modelspaces import HyperbolicH3Point
 s = HyperbolicH3Point(r0=0.7)
 fn = lambda r: r + estimate.mc_moment(s, 1, 1.0, 3 * estimate._DRAW_BLOCK, int(r.size)).mean
-pooled = estimate.mc_mean(s, 1.0, 3 * estimate._DRAW_BLOCK + 17, 4, fn, 2)
+pooled = estimate.mc_mean(s, 1.0, 3 * estimate._DRAW_BLOCK + 17, 4, fn)
 estimate._WORKERS = 1
-print(pooled == estimate.mc_mean(s, 1.0, 3 * estimate._DRAW_BLOCK + 17, 4, fn, 2))
+print(pooled == estimate.mc_mean(s, 1.0, 3 * estimate._DRAW_BLOCK + 17, 4, fn))
 """
     assert _run_python(code).strip() == "True"
 
@@ -215,15 +214,13 @@ def test_mc_mean_stderr_survives_a_mean_far_above_the_spread():
 
 
 def test_mc_mean_stderr_matches_the_pooled_sample_std():
-    # three partitions of two blocks each on H^3: the merged stderr is the
+    # three full blocks and a short one on H^3: the merged stderr is the
     # sample std of all the draws, to rounding
-    s, t, seed = HyperbolicH3Point(kappa=-1.0, r0=0.7), 1.0, 11
-    sizes = (_DRAW_BLOCK + 6, _DRAW_BLOCK + 6, _DRAW_BLOCK + 5)
+    s, t, seed, n = HyperbolicH3Point(kappa=-1.0, r0=0.7), 1.0, 11, 3 * _DRAW_BLOCK + 17
     vals = np.concatenate([
-        sample_distances(s, t, stream(seed, i, j), k) ** 2
-        for i, size in enumerate(sizes) for j, k in enumerate((_DRAW_BLOCK, size - _DRAW_BLOCK))
+        sample_distances(s, t, stream(seed, 0, j), min(_DRAW_BLOCK, n - j * _DRAW_BLOCK)) ** 2 for j in range(4)
     ])
-    est = mc_moment(s, 1, t, sum(sizes), seed, 3)
+    est = mc_moment(s, 1, t, n, seed)
     assert est.mean == pytest.approx(float(np.mean(vals)), rel=1e-12)
     assert est.stderr == pytest.approx(float(np.std(vals, ddof=1)) / math.sqrt(vals.size), rel=1e-12)
 
@@ -236,7 +233,7 @@ def test_mc_mean_skips_a_first_block_with_no_finite_value():
     mean = float(np.sum(vals)) / 500
     stderr = math.sqrt(float(np.sum((vals - mean) ** 2)) / 499 / 500)
     fn = lambda r: np.full_like(r, np.inf) if r.size == _DRAW_BLOCK else r**2
-    assert mc_mean(s, t, n, seed, fn) == MCEstimate(mean, stderr, n, seed, 1, _DRAW_BLOCK)
+    assert mc_mean(s, t, n, seed, fn) == MCEstimate(mean, stderr, n, seed, _DRAW_BLOCK)
 
 
 def test_mc_mean_merges_block_means_past_the_float_square():
@@ -509,13 +506,16 @@ def test_mc_path_mean_needs_two_paths():
     assert mc_path_mean(EuclideanAffine(m=1, n=0), 0.01, 1.0, 2, 3, lambda v: v[:, -1]).stderr > 0.0
 
 
-def test_tail_prob_sup_mode_reports_the_partitions_it_used():
-    # sup mode runs one path per stream: it records partitions 1 and rejects any other
-    args = (EuclideanAffine(m=1, n=0), 2.0, 1.0, True, 500, 1e-2)
-    assert tail_prob(*args, seed=65).partitions == 1
-    for partitions in (0, 3, 400):
-        with pytest.raises(DomainError, match="partitions 1"):
-            tail_prob(*args, seed=65, partitions=partitions)
+def test_trailing_slot_is_never_read():
+    # the estimators' last parameter, which the benchmark fills: any value
+    # gives the bits of none, in point and in sup mode
+    s, t, n = HyperbolicH3Point(r0=0.7), 1.0, 3 * _DRAW_BLOCK + 17
+    sup = (EuclideanAffine(m=1, n=0), 2.0, 1.0, True, 500, 1e-2, 65)
+    for value in (2, 0, 400):
+        assert mc_moment(s, 1, t, n, 21, value) == mc_moment(s, 1, t, n, 21)
+        assert mc_exp_moment(s, 0.2, t, True, n, 22, value) == mc_exp_moment(s, 0.2, t, True, n, 22)
+        assert tail_prob(s, 2.5, t, False, n, None, 23, value) == tail_prob(s, 2.5, t, False, n, None, 23)
+        assert tail_prob(*sup, value) == tail_prob(*sup)
 
 
 @pytest.mark.parametrize("sup_mode,dt", [(False, None), (True, 0.01)])
@@ -535,9 +535,9 @@ def test_tail_prob_sup_needs_dt():
 
 def test_estimates_csv_format():
     rows = [
-        ("h3_moment_p1", MCEstimate(mean=4.01, stderr=0.01, n=1000, seed=7, partitions=2)),
+        ("h3_moment_p1", MCEstimate(mean=4.01, stderr=0.01, n=1000, seed=7)),
     ]
     text = estimates_to_csv(rows)
     lines = text.strip().split("\n")
-    assert lines[0] == "quantity,mean,stderr,n,seed,partitions"
-    assert lines[1] == "h3_moment_p1,4.01,0.01,1000,7,2"
+    assert lines[0] == "quantity,mean,stderr,n,seed"
+    assert lines[1] == "h3_moment_p1,4.01,0.01,1000,7"
