@@ -198,6 +198,8 @@ def logsob_bound(
         raise DomainError(f"C1, Lambda, t, theta must be finite and non-negative, got {C1}, {Lambda}, {t}, {theta}")
     if not 0.0 <= r0 < math.inf:
         raise DomainError(f"r0 must be a finite non-negative distance, got {r0}")
+    if theta == 0.0:  # exp(0), also where r0 or the drift is past the floats' square root
+        return 1.0
     Ct, k = logsob_time_constant(m, C1, t), (m - 1) * C1 * C1
     x = theta * Ct
     quad = theta * x / 2.0  # theta^2 C(t) / 2, where theta * theta could overflow against C(0) = 0
@@ -206,7 +208,7 @@ def logsob_bound(
         logx += k * t if k * t > 700.0 else math.log(math.expm1(k * t))  # + log(k C(t))
         x, quad = _exp_sat(logx), _exp_sat(logx + math.log(theta) - math.log(2.0))
     drift = n * Lambda + (m - 1) * C1
-    base = math.sqrt(r0 * r0 + (m - n) * t)
+    base = math.sqrt(r0 * r0 + (m - n) * t) if r0 < 1e154 else math.hypot(r0, math.sqrt((m - n) * t))
     if mode == "linear":
         return _exp_sat(theta * base + drift * theta * t / 2.0 + quad)
     if x >= 1.0:

@@ -1,16 +1,16 @@
 """Monte Carlo functionals: moments, exponential moments, tail probabilities
 and local times, the path ones conditioned on the bridge between grid points.
 
-Draw-based estimators split n into blocks of at most _DRAW_BLOCK draws,
-block j drawn from simulate.stream(seed, 0, j). Path-based ones split n into
-blocks of R = block_rows(steps) paths, block b drawn by sample_paths from
-stream(seed, b), so neither n nor the worker count changes path k. The
-samplers take generators; only this module (and simulate.sample_path, the
-benchmark's shim) maps a seed to streams. Both kinds of block run on one
-pool of _WORKERS threads, kept for the process (_map), and one reduction
-takes both (_reduce): each block returns partial sums where it is drawn, its
-squares summed about its own mean, and they are merged in block order. So
-results are bit-reproducible for a given (n, seed) whatever the worker
+Every estimate splits its n values into blocks and draws block b from
+simulate.stream(seed, b), in one walk (_blocks): blocks of at most
+_DRAW_BLOCK endpoint draws, or of R = block_rows(steps) paths drawn by
+sample_paths, so neither n nor the worker count changes value k. The
+samplers take generators; only _blocks (and simulate.sample_path, the
+benchmark's shim) maps a seed to streams. The blocks run on one pool of
+_WORKERS threads, kept for the process (_map), and one reduction takes both
+kinds (_reduce): each block returns partial sums where it is drawn (_sums),
+its squares summed about its own mean, and they are merged in block order.
+So results are bit-reproducible for a given (n, seed) whatever the worker
 count, and bounded in memory whatever n.
 """
 from __future__ import annotations
@@ -63,48 +63,52 @@ def _map(fn: Callable, items) -> list:
     return list(_pool.map(fn, items))
 
 
-def _draw_blocks(n: int) -> list[tuple[int, int]]:
-    # (j, size) of each block of n endpoint draws: draws j * _DRAW_BLOCK
-    # onward, drawn from stream(seed, 0, j) by _draws
+def _blocks(n: int, seed: int, size: int, block: Callable[[np.random.Generator, int], object]) -> list:
+    """[block(stream(seed, b), count) for each block b of n values], count =
+    min(size, n - b size), on _map's pool: the one map from (n, seed) to
+    streams, so value k is value k mod size of block k // size whatever n."""
+
+    def run(b: int):
+        with np.errstate(over="ignore"):  # here: errstate is per thread. An overflow is counted, inf stderr is honest
+            return block(stream(seed, b), min(size, n - b * size))
+
+    return _map(run, range(-(-n // size)))
+
+
+def _endpoints(s: Scenario, t: float, n: int, seed: int, fn: Callable[[np.ndarray], object]) -> list:
+    # fn of each block of _DRAW_BLOCK of the n >= 100 exact endpoint draws (see _blocks)
     if n < 100:
         raise DomainError(f"need n >= 100, got {n}")
-    return [(k // _DRAW_BLOCK, min(_DRAW_BLOCK, n - k)) for k in range(0, n, _DRAW_BLOCK)]
-
-
-def _draws(s: Scenario, t: float, seed: int, block: tuple[int, int]) -> np.ndarray:
-    return sample_distances(s, t, stream(seed, 0, block[0]), block[1])
+    return _blocks(n, seed, _DRAW_BLOCK, lambda rng, k: fn(sample_distances(s, t, rng, k)))
 
 
 def mc_mean(s: Scenario, t: float, n: int, seed: int, fn: Callable[[np.ndarray], np.ndarray]) -> MCEstimate:
     """Mean of fn(r_N(X_t)) over n exact endpoint draws, with its standard error (see _reduce)."""
-    return _reduce(lambda b: fn(_draws(s, t, seed, b)), _draw_blocks(n), n, seed)
+    return _reduce(_endpoints(s, t, n, seed, lambda r: _sums(fn(r))), n, seed)
 
 
-def _reduce(values: Callable, blocks, n: int, seed: int) -> MCEstimate:
-    """Mean of the n values that values(block) returns over `blocks`, with its
-    standard error; each block runs on _map's pool.
+def _sums(vals: np.ndarray) -> tuple[int, float, float, float]:
+    # kept count, sum, sum in units of 2**64 and sum of squares about their own
+    # mean, of one block's finite values, where the block is drawn
+    vals = vals[np.isfinite(vals)]
+    part = float(np.sum(vals))
+    scaled = part * 2.0**-64 if math.isfinite(part) else float(np.sum(vals * 2.0**-64))
+    dev = vals - _mean(vals.size, part, scaled) if vals.size else vals
+    return vals.size, part, scaled, float(np.sum(np.square(dev, out=dev)))
+
+
+def _reduce(parts: list, n: int, seed: int) -> MCEstimate:
+    """Mean of n values from the _sums of their blocks, with its standard error.
 
     Values that are not finite (an overflow) are dropped and counted in the
     `overflow` field as a heavy-tail warning; a sum of squares that
     overflows makes the stderr inf. Each block sums its squares about its own
     mean, so a mean far above the spread does not cancel the variance, and
-    the blocks are merged by Chan, Golub & LeVeque's pairwise rule (1983),
-    which adds k (block mean - mean)^2 per block. A sum of kept values past
-    the float range is carried in units of 2**64, so the mean stays finite.
+    the blocks are merged in order by Chan, Golub & LeVeque's pairwise rule
+    (1983), which adds k (block mean - mean)^2 per block. A sum of kept
+    values past the float range is carried in units of 2**64, so the mean
+    stays finite.
     """
-
-    def sums(block) -> tuple[int, float, float, float]:
-        # kept count, sum, sum in units of 2**64 and sum of squares about their
-        # own mean, of one block's finite values
-        with np.errstate(over="ignore"):  # here: errstate is per thread. An overflow is counted, inf stderr is honest
-            vals = values(block)
-            vals = vals[np.isfinite(vals)]
-            part = float(np.sum(vals))
-            scaled = part * 2.0**-64 if math.isfinite(part) else float(np.sum(vals * 2.0**-64))
-            dev = vals - _mean(vals.size, part, scaled) if vals.size else vals
-            return vals.size, part, scaled, float(np.sum(np.square(dev, out=dev)))
-
-    parts = _map(sums, blocks)
     kept, total, scaled, m2 = 0, 0.0, 0.0, 0.0
     for k, part, part_scaled, sq in parts:
         kept, total, scaled, m2 = kept + k, total + part, scaled + part_scaled, m2 + sq
@@ -148,18 +152,13 @@ def mc_exp_moment(
 def mc_path_mean(s: Scenario, dt: float, T: float, n: int, seed: int, fn: PathFn) -> MCEstimate:
     """Mean of fn over paths 0..n-1 of `seed` (n >= 2), with its standard error.
 
-    fn maps a (rows, steps + 1) block of paths to one value per row: path k
-    is row k mod R of block k // R, R = block_rows(steps), the first rows of
-    sample_paths(s, dt, T, stream(seed, k // R), R). _reduce reduces each block
-    where it is drawn, so memory stays bounded whatever n, and the estimate
-    has the same bits for any worker count.
+    fn maps a (rows, steps + 1) block of sample_paths to one value per row:
+    path k is row k mod R of block k // R of _blocks, R = block_rows(steps).
     """
     if n < 2:
         raise DomainError(f"need n >= 2 paths for a standard error, got {n}")
     rows = block_rows(grid_steps(dt, T))
-    return _reduce(
-        lambda i: fn(sample_paths(s, dt, T, stream(seed, i // rows), min(rows, n - i))), range(0, n, rows), n, seed
-    )
+    return _reduce(_blocks(n, seed, rows, lambda rng, k: _sums(fn(sample_paths(s, dt, T, rng, k)))), n, seed)
 
 
 def bridge_local_time(dist: np.ndarray, dt: float) -> np.ndarray:
@@ -231,7 +230,7 @@ def tail_prob(
         if dt is None:
             raise DomainError("sup mode needs a path step dt")
         return mc_path_mean(s, dt, t, n, seed, lambda v: _bridge_crossing(v, r, dt))
-    phat = sum(_map(lambda b: int(np.count_nonzero(_draws(s, t, seed, b) >= r)), _draw_blocks(n))) / n
+    phat = sum(_endpoints(s, t, n, seed, lambda d: int(np.count_nonzero(d >= r)))) / n
     return MCEstimate(mean=phat, stderr=_binomial_stderr(phat, n), n=n, seed=seed)
 
 

@@ -11,12 +11,13 @@ about e with concentration a r0. Endpoints need only the norm of a Gaussian
 position, which by rotation invariance takes one normal and one chi-square
 (sample_distances; one normal on the circle); paths keep the positions.
 
-Every sampler draws from the generator it is given; estimate keys them,
-stream(seed, b[, j]), an SFC64 generator seeded by SeedSequence((seed, b[, j])),
-whose hashing of the key, not a counter, keeps the streams apart. Paths come
-in blocks of R = block_rows(steps) paths: sample_paths draws the first count
-rows of one block, and those rows are a prefix of the whole block, so a path
-has the same bits whatever the number of paths or the workers that consume it.
+Every sampler draws from the generator it is given; estimate draws block b
+of every estimate, endpoint or path, from stream(seed, b), an SFC64
+generator seeded by SeedSequence((seed, b)), whose hashing of the key, not a
+counter, keeps the streams apart. Paths come in blocks of
+R = block_rows(steps) paths: sample_paths draws the first count rows of one
+block, and those rows are a prefix of the whole block, so a path has the
+same bits whatever the number of paths or the workers that consume it.
 """
 from __future__ import annotations
 
@@ -31,20 +32,16 @@ from .modelspaces import Scenario, _position
 _PATH_BLOCK = 1 << 16  # path values, rows x (steps + 1), of a block of sample_paths
 
 
-def stream(seed: int, index: int = 0, block: int = 0) -> np.random.Generator:
-    """Independent generator (index, block) derived from a master seed: SFC64
-    seeded by SeedSequence((seed, index, block)), whose hashing keeps the
-    streams of distinct keys apart (numpy's "Parallel random number
-    generation"). Block 0 is keyed (seed, index) itself, so stream(s, k) is
-    stream(s, k, 0) bit for bit. The seed must be an int >= 0, the index
-    and the block ints in [0, 2**63)."""
+def stream(seed: int, index: int = 0) -> np.random.Generator:
+    """Independent generator `index` derived from a master seed: SFC64 seeded
+    by SeedSequence((seed, index)), whose hashing keeps the streams of
+    distinct keys apart (numpy's "Parallel random number generation"). The
+    seed must be an int >= 0, the index an int in [0, 2**63)."""
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
-    for name, k in (("index", index), ("block", block)):
-        if not (isinstance(k, (int, np.integer)) and 0 <= k < 2**63):
-            raise DomainError(f"stream {name} must be an integer in [0, 2**63), got {k!r}")
-    key = (seed, index, block) if block else (seed, index)
-    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(key)))
+    if not (isinstance(index, (int, np.integer)) and 0 <= index < 2**63):
+        raise DomainError(f"stream index must be an integer in [0, 2**63), got {index!r}")
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, index))))
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,13 @@ ROWS = {
     "logsob_bound-quadratic": Row(
         logsob_bound, dict(mode="quadratic", m=3, n=1, C1=0.5, Lambda=0.2, r0=0.5, t=1.0, theta=0.1)
     ),
+    # a start past the floats' square root, where r0 * r0 overflowed and theta = 0 read NaN
+    "logsob_bound-linear-far": Row(
+        logsob_bound, dict(mode="linear", m=3, n=0, C1=0.0, Lambda=0.0, r0=1e200, t=1.0, theta=0.0)
+    ),
+    "logsob_bound-quadratic-far": Row(
+        logsob_bound, dict(mode="quadratic", m=3, n=0, C1=0.0, Lambda=0.0, r0=1e200, t=1.0, theta=0.0)
+    ),
     "concentration_bound": Row(concentration_bound, dict(p=_P, r0=0.5, t=1.0, r=3.0, delta=0.5)),
     "concentration_bound_optimized": Row(concentration_bound_optimized, dict(p=_P, r0=0.5, t=1.0, r=3.0)),
     "exit_time_bound": Row(exit_time_bound, dict(p=_P, r0=0.5, t=1.0, r=3.0, delta=0.5)),
@@ -116,7 +123,8 @@ NOT_SWEPT = {
 # the rows whose arithmetic once read a NaN or an infinity as a number: the
 # hypothesis test walks every float on them, finite ones included
 MENDED = [
-    "radial_R", "logsob_time_constant", "logsob_bound-linear", "logsob_bound-quadratic", "exp_dist_curve",
+    "radial_R", "logsob_time_constant", "logsob_bound-linear", "logsob_bound-quadratic", "logsob_bound-linear-far",
+    "logsob_bound-quadratic-far", "exp_dist_curve",
     "kummer", "kummerm1", "lemma_laguerre_rhs", "exact_moment-flat", "exact_exp_moment-flat",
     "exact_exp_moment-h3",
 ]
@@ -142,6 +150,16 @@ def test_edge_raises_or_gives_its_named_limit(name, arg, edge):
     else:
         with pytest.raises(DomainError):
             row.fn(**args)
+
+
+@pytest.mark.parametrize("name", ["logsob_bound-linear-far", "logsob_bound-quadratic-far"])
+def test_logsob_far_start_reads_its_value(name):
+    # exp(0) = 1 exactly at theta = 0; in linear mode exp(theta |r0|) ~ 1 at
+    # theta = 1e-300, where an overflowed r0 * r0 read the saturation 1e300
+    row = ROWS[name]
+    assert row.fn(**row.args) == 1.0
+    if row.args["mode"] == "linear":
+        assert row.fn(**{**row.args, "theta": 1e-300}) == pytest.approx(1.0, abs=1e-99)
 
 
 def _public_float_callables(module) -> set[str]:

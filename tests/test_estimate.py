@@ -33,7 +33,7 @@ from tubebound.modelspaces import (
     HyperbolicH3Point,
     SphereInEuclidean,
 )
-from tubebound.simulate import sample_distances, sample_path, sample_paths, stream
+from tubebound.simulate import block_rows, grid_steps, sample_distances, sample_path, sample_paths, stream
 
 from oracles import chi_tail, exit_tail_exact
 
@@ -74,13 +74,13 @@ def test_mc_moment_reproducible_bit_for_bit():
 
 
 def test_mc_reduce_consumes_each_stream_in_draw_blocks():
-    # n = 3 full blocks + 17: block j drawn from stream(seed, 0, j), each
+    # n = 3 full blocks + 17: block j drawn from stream(seed, j), each
     # block's squares summed about its own mean, the blocks merged in order
     # by Chan's rule: M2 = sum M2_b + sum k_b (mean_b - mean)^2
     s, t, seed, n = HyperbolicH3Point(r0=0.7), 1.0, 12, 3 * _DRAW_BLOCK + 17
     blocks, total, m2, hits = [], 0.0, 0.0, 0
     for j, k in enumerate((_DRAW_BLOCK, _DRAW_BLOCK, _DRAW_BLOCK, 17)):
-        draws = sample_distances(s, t, stream(seed, 0, j), k)
+        draws = sample_distances(s, t, stream(seed, j), k)
         sq = draws**2
         part = float(np.sum(sq))
         blocks.append((k, part))
@@ -93,6 +93,29 @@ def test_mc_reduce_consumes_each_stream_in_draw_blocks():
     stderr = math.sqrt(m2 / (n - 1) / n)
     assert mc_mean(s, t, n, seed, lambda r: r**2) == MCEstimate(mean, stderr, n, seed, 0)
     assert tail_prob(s, 2.5, t, False, n, None, seed).mean == hits / n
+
+
+def test_mc_reduce_consumes_each_stream_in_path_blocks():
+    # the path twin: n = 3 full blocks of R paths + 5, block b drawn by
+    # sample_paths from stream(seed, b), reduced and merged by the same rule
+    s, dt, T, seed = HyperbolicH3Point(r0=0.7), 0.01, 1.0, 12
+    R = block_rows(grid_steps(dt, T))
+    n = 3 * R + 5
+    blocks, total, m2, crossed = [], 0.0, 0.0, 0.0
+    for b, k in enumerate((R, R, R, 5)):
+        paths = sample_paths(s, dt, T, stream(seed, b), k)
+        sq = paths[:, -1] ** 2
+        part = float(np.sum(sq))
+        blocks.append((k, part))
+        total += part
+        m2 += float(np.sum((sq - part / k) ** 2))
+        crossed += float(np.sum(_bridge_crossing(paths, 2.5, dt)))
+    mean = total / n
+    for k, part in blocks:
+        m2 += k * (part / k - mean) * (part / k - mean)
+    stderr = math.sqrt(m2 / (n - 1) / n)
+    assert mc_path_mean(s, dt, T, n, seed, lambda v: v[:, -1] ** 2) == MCEstimate(mean, stderr, n, seed, 0)
+    assert tail_prob(s, 2.5, T, True, n, dt, seed).mean == crossed / n
 
 
 def _use_workers(monkeypatch, workers):
@@ -130,19 +153,19 @@ def test_endpoint_estimates_bit_identical_for_any_worker_count(n, workers, monke
     "call,want",
     [
         (lambda: mc_moment(HyperbolicH3Point(r0=0.7), 1, 1.0, 2 * _DRAW_BLOCK, 12),
-         (4.801942543006744, 0.014466771713655437)),
+         (4.801819980778577, 0.01451684984967096)),
         (lambda: mc_exp_moment(SphereInEuclidean(m=3, radius=1.0), 0.3, 1.0, False, 3 * _DRAW_BLOCK - 1, 13),
-         (1.253109951456562, 0.0007300783988715852)),
+         (1.253624928287692, 0.0007362985258380617)),
         (lambda: tail_prob(EuclideanAffine(m=3, n=0), 2.0, 1.0, False, 3 * _DRAW_BLOCK, None, 14),
-         (0.26287841796875, 0.0014039816606089936)),
+         (0.2624308268229167, 0.0014032117350493106)),
         (lambda: mc_mean(HyperbolicH3Point(kappa=-2.0), 0.5, _DRAW_BLOCK, 15, np.cosh),
          (2.3186253351939996, 0.007461598074840775)),
     ],
     ids=["moment", "exp", "tail", "mean"],
 )
-def test_one_block_partitions_golden(call, want):
-    # block j of each call draws from stream(seed, 0, j): these estimates are
-    # pinned bit for bit
+def test_endpoint_blocks_golden(call, want):
+    # block j of each call draws from stream(seed, j): these estimates of two,
+    # three and one blocks are pinned bit for bit
     est = call()
     assert (est.mean, est.stderr, est.overflow) == (*want, 0)
 
@@ -207,8 +230,7 @@ def test_mc_mean_stderr_survives_a_mean_far_above_the_spread():
     # E r^2 = 1e12 with a spread of 2e3 per draw: a one-pass sum of squares less
     # n mean^2 cancels every digit and read 0.0; the same draws' sample std does not
     s, t, seed, n = EuclideanAffine(m=3, n=0, r0=1e6), 1e-6, 7, 100_000
-    rng = stream(seed, 0)
-    blocks = [sample_distances(s, t, rng, min(_DRAW_BLOCK, n - k)) for k in range(0, n, _DRAW_BLOCK)]
+    blocks = [sample_distances(s, t, stream(seed, j), min(_DRAW_BLOCK, n - j * _DRAW_BLOCK)) for j in range(4)]
     want = float(np.std(np.concatenate(blocks) ** 2, ddof=1)) / math.sqrt(n)
     assert mc_moment(s, 1, t, n, seed).stderr == pytest.approx(want, rel=0.01)
 
@@ -218,7 +240,7 @@ def test_mc_mean_stderr_matches_the_pooled_sample_std():
     # sample std of all the draws, to rounding
     s, t, seed, n = HyperbolicH3Point(kappa=-1.0, r0=0.7), 1.0, 11, 3 * _DRAW_BLOCK + 17
     vals = np.concatenate([
-        sample_distances(s, t, stream(seed, 0, j), min(_DRAW_BLOCK, n - j * _DRAW_BLOCK)) ** 2 for j in range(4)
+        sample_distances(s, t, stream(seed, j), min(_DRAW_BLOCK, n - j * _DRAW_BLOCK)) ** 2 for j in range(4)
     ])
     est = mc_moment(s, 1, t, n, seed)
     assert est.mean == pytest.approx(float(np.mean(vals)), rel=1e-12)
@@ -227,9 +249,9 @@ def test_mc_mean_stderr_matches_the_pooled_sample_std():
 
 def test_mc_mean_skips_a_first_block_with_no_finite_value():
     # fn maps the full first block to inf: the estimate is that of the 500
-    # draws of the second block, stream(seed, 0, 1), alone
+    # draws of the second block, stream(seed, 1), alone
     s, t, seed, n = HyperbolicH3Point(r0=0.7), 1.0, 9, _DRAW_BLOCK + 500
-    vals = sample_distances(s, t, stream(seed, 0, 1), 500) ** 2
+    vals = sample_distances(s, t, stream(seed, 1), 500) ** 2
     mean = float(np.sum(vals)) / 500
     stderr = math.sqrt(float(np.sum((vals - mean) ** 2)) / 499 / 500)
     fn = lambda r: np.full_like(r, np.inf) if r.size == _DRAW_BLOCK else r**2
