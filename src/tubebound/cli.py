@@ -5,11 +5,12 @@ Configuration comes from flags, optionally seeded by a key=value file
 before the command line's own flags, so argparse types and checks it as
 it does the flag, and a flag given wins: a switch (quick) is set by
 1/true/yes/on, a list (R) takes the value's words, any other key is
---key=value. A key the subcommand lacks is a config error. The parser is
-built once per process and never changed; the seed default is read from
-$TUBEBOUND_SEED when a command runs without --seed. Every artifact
-written (CSV, SVG) is a pure function of config + seed, so reruns are
-byte-identical.
+--key=value. A key the subcommand lacks is a config error. A negative
+number is a value in any decimal form (-1e3 and -1. too, which argparse
+3.11 takes for flags). The parser is built once per process and never
+changed; the seed default is read from $TUBEBOUND_SEED when a command
+runs without --seed. Every artifact written (CSV, SVG) is a pure
+function of config + seed, so reruns are byte-identical.
 
 Exit codes: 0 all comparisons pass, 1 a comparison failed, 2 bad config.
 """
@@ -19,6 +20,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -81,6 +83,18 @@ def _load_config(path: str) -> dict[str, str]:
     return cfg
 
 
+# the negative decimal literals argparse (3.10, 3.11) takes for flags: it reads
+# only -\d+ and -\d*\.\d+ as numbers, not -1. or any with an exponent
+_FLAG_LIKE_NUMBER = re.compile(r"-(\d+\.|(\d+\.?\d*|\.\d+)[eE][-+]?\d+)")
+
+
+def _as_values(argv: list[str]) -> list[str]:
+    """argv with a space before each negative number that argparse would take
+    for a flag (-1e3, -1., -1e-3): a token that does not start with "-" is a
+    value, and float() and int() read it with the space as without."""
+    return [" " + a if _FLAG_LIKE_NUMBER.fullmatch(a) else a for a in argv]
+
+
 def _config_flags(args: argparse.Namespace, cfg: dict[str, str]) -> list[str]:
     """The config entries as flags, for argparse to type and check.
 
@@ -96,7 +110,7 @@ def _config_flags(args: argparse.Namespace, cfg: dict[str, str]) -> list[str]:
         if isinstance(given, bool):
             flags += [flag] if value.lower() in ("1", "true", "yes", "on") else []
         elif isinstance(given, list):
-            flags += [flag, *value.split()]
+            flags += [flag, *_as_values(value.split())]
         else:  # one token, so that a value may start with "-" or hold spaces
             flags.append(f"{flag}={value}")
     return flags
@@ -273,9 +287,10 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-# the name, default t and tolerance of each localtime job; local_time_mean
-# rejects the other scenarios
-_LOCALTIME_JOBS = {"circle": ("circle_cut_locus", 20.0, 0.05), "sphere": ("sphere_shell", 1.0, 0.10)}
+# the name, default t, default dt and tolerance of each localtime job: the
+# circle's antipode estimator is exact at any dt, so it runs at the circle
+# criterion's dt; local_time_mean rejects the other scenarios
+_LOCALTIME_JOBS = {"circle": ("circle_cut_locus", 20.0, 0.1, 0.05), "sphere": ("sphere_shell", 1.0, 1e-2, 0.10)}
 
 
 def _cmd_localtime(args: argparse.Namespace) -> int:
@@ -286,9 +301,9 @@ def _cmd_localtime(args: argparse.Namespace) -> int:
     rows = []
     status = 0
     for s in scenarios:
-        name, t, tol = _LOCALTIME_JOBS.get(s.kind, (s.kind, 1.0, 0.0))
+        name, t, dt, tol = _LOCALTIME_JOBS.get(s.kind, (s.kind, 1.0, 1e-2, 0.0))
         t = t if args.t is None else args.t
-        est, truth = local_time_mean(s, t, args.n, args.dt, args.seed)
+        est, truth = local_time_mean(s, t, args.n, dt if args.dt is None else args.dt, args.seed)
         ok = Check(name, est.mean, "vs", truth, tol * truth).ok
         status |= 0 if ok else 1
         print(
@@ -345,7 +360,7 @@ def _add_localtime(sub) -> None:
     _add_scenario_flags(p)
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--n", type=int, default=10_000)
-    p.add_argument("--dt", type=float, default=1e-2)
+    p.add_argument("--dt", type=float, default=None, help="path step (default: 0.1 circle, 1e-2 sphere)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None)
@@ -367,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = _as_values(list(sys.argv[1:] if argv is None else argv))
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

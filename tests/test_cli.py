@@ -4,6 +4,7 @@ import re
 import pytest
 
 from tubebound import cli, verify
+from tubebound.modelspaces import CirclePoint, SphereInEuclidean
 
 from oracles import curve_csv_by_point, polyline_points_by_point
 
@@ -254,6 +255,18 @@ def test_localtime_circle_is_the_verify_criterion(capsys):
     assert f"mc mean={check.value:.5f} stderr={check.stderr:.5f} " in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("dt, circle_dt, sphere_dt", [([], 0.1, 1e-2), (["--dt", "0.05"], 0.05, 0.05)])
+def test_localtime_dt_defaults_per_job_and_a_given_dt_sets_both(dt, circle_dt, sphere_dt, tmp_path):
+    # the circle job's default dt is the circle criterion's, and a --dt given
+    # sets both jobs'; 200 paths are too few for the fixed 5% tolerance, so
+    # the verdict is not asserted
+    assert cli.main(["localtime", "--n", "200", *dt, "--seed", "3", "--out", str(tmp_path)]) in (0, 1)
+    _, rows = _read_csv_rows(tmp_path / "localtime_results.csv")
+    circle, _ = verify.local_time_mean(CirclePoint(), 20.0, 200, circle_dt, 3)
+    sphere, _ = verify.local_time_mean(SphereInEuclidean(m=2, radius=1.0), 1.0, 200, sphere_dt, 3)
+    assert [(r[0], float(r[1])) for r in rows] == [("circle_cut_locus", circle.mean), ("sphere_shell", sphere.mean)]
+
+
 @pytest.mark.parametrize("argv", [
     ["--scenario", "h3"], ["--scenario", "circle", "--r0", "0.3"],
     ["--scenario", "sphere", "--r0", "0.3"], ["--radius", "0.7"],
@@ -434,6 +447,42 @@ def test_config_value_is_one_token(name, tmp_path):
     cfg.write_text(f"steps=20\nR=1\nout={tmp_path / name}\n")
     assert cli.main(["curves", "--config", str(cfg)]) == 0
     assert (tmp_path / name / "explosions.csv").is_file()
+
+
+@pytest.mark.parametrize("values, spelled", [
+    (["-1e3", "1"], ["-1000", "1"]), (["-1.", "2"], ["-1", "2"]), (["-1e-3", "-.5E+1"], ["-0.001", "-5"]),
+])
+def test_negative_floats_in_any_form_are_values(values, spelled, tmp_path, capsys):
+    # argparse 3.11 reads -1e3 and -1. as flags; on the command line and in a
+    # config list they are values, read as argparse reads -1000 and -1
+    runs = {}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"R={' '.join(values)}\nsteps=20\n")
+    for name, argv in (("spelled", ["--R", *spelled, "--steps", "20"]), ("given", ["--R", *values, "--steps", "20"]),
+                       ("config", ["--config", str(cfg)])):
+        out = tmp_path / name
+        assert cli.main(["curves", *argv, "--out", str(out)]) == 0, name
+        runs[name] = capsys.readouterr().out.replace(str(out), "OUT"), _files(out)
+    assert runs["given"] == runs["config"] == runs["spelled"]
+
+
+def test_negative_float_flag_value_reads_as_spelled_plainly(tmp_path, capsys):
+    # a scalar flag takes -1e-3 as it takes --kappa=-1e-3 and -0.001
+    runs = []
+    for i, argv in enumerate((["--kappa", "-1e-3"], ["--kappa=-1e-3"], ["--kappa", "-0.001"])):
+        out = tmp_path / str(i)
+        assert cli.main(["mc", "--scenario", "h3", *argv, "--n", "200", "--out", str(out)]) == 0
+        runs.append((capsys.readouterr().out.replace(str(out), "OUT"), _files(out)))
+    assert runs[0] == runs[1] == runs[2]
+    assert cli.main(["curves", "--R=-1e3", "--steps", "20", "--out", str(tmp_path / "eq")]) == 0
+    assert sorted(_files(tmp_path / "eq")) == [
+        "exp_dist.svg", "exp_dist_R-1000.csv", "exp_sq.svg", "exp_sq_R-1000.csv", "explosions.csv"]
+
+
+def test_as_values_leaves_every_other_token_alone():
+    kept = ["curves", "--R", "-1", "-0.5", "-.5", "--R=-1e3", "-inf", "-nan", "-1e", "-e3", "-1_0.", "-h", "--", "-"]
+    assert cli._as_values(kept) == kept
+    assert cli._as_values(["-1e3", "-1.", "-1.5e-3", "-.5E+1"]) == [" -1e3", " -1.", " -1.5e-3", " -.5E+1"]
 
 
 def test_config_missing_file_is_error(tmp_path, capsys):
